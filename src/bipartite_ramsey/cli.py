@@ -16,9 +16,9 @@ from .errors import BudgetExceededError, ParameterError, ValidationError
 from .extraction import extract_induced
 from .graphs import verify_witness
 from .hypergraph import (
+    decode_derived,
     derive_coloring,
     find_homogeneous_set,
-    majority_positions,
     ramsey_number_exact,
 )
 from .pigeonhole import extract_monochromatic_complete
@@ -54,9 +54,7 @@ def _emit_certificate(args, host, witness, coloring=None):
 
 
 def _load_coloring_with_set_host(path, b):
-    text = formats.load_text(path)
-    host = formats.infer_set_host(text, 2 * b - 1)
-    return formats.coloring_from_text(text, host)
+    return formats.set_coloring_from_text(formats.load_text(path), 2 * b - 1)
 
 
 def cmd_build(args):
@@ -99,30 +97,20 @@ def cmd_find_homogeneous(args):
     if found is None:
         print(f"no homogeneous set of size {args.s}", file=sys.stderr)
         return EXIT_ABSENT
-    vertices, value = found
-    _emit(
-        "homogeneous "
-        + " ".join(str(v) for v in vertices)
-        + (f"\nvalue {value}\n" if value is not None else "\n"),
-        args.output,
-    )
+    _emit(formats.homogeneous_to_text(*found), args.output)
     return EXIT_FOUND
 
 
 def cmd_extract_induced(args):
     coloring = _load_coloring_with_set_host(args.coloring, args.b)
-    members = sorted(
-        set(
-            int(token)
-            for token in formats.load_text(args.homogeneous).replace(",", " ").split()
-        )
-    )
-    if len(members) < 2 * args.b - 1:
-        raise ParameterError(f"homogeneous set too small: {members}")
-    # Read the derived value off the set's first subset; extract_induced
-    # re-verifies that every other subset agrees before building anything.
-    first = tuple(members[: 2 * args.b - 1])
-    derived = majority_positions([coloring.color_of(z, first) for z in first], args.b)
+    members, value = formats.homogeneous_from_text(formats.load_text(args.homogeneous))
+    if value is None:
+        if len(members) < 2 * args.b - 1:
+            raise ParameterError(f"homogeneous set too small: {members}")
+        # Take the value of the set's first subset; extract_induced
+        # re-verifies that every other subset agrees before building anything.
+        value = derive_coloring(coloring, args.b).value_of(tuple(members[: 2 * args.b - 1]))
+    derived = decode_derived(value, args.b)
     witness = extract_induced(members, derived, args.a, args.b, coloring.graph, coloring)
     _emit_certificate(args, coloring.graph, witness, coloring)
     return EXIT_FOUND

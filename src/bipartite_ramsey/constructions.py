@@ -82,10 +82,9 @@ def embed_into_set_bipartite(pattern):
     a = 2 * c + d
     b = c + 1
 
-    adjacency = pattern.adjacency_by_right
     right_map = {}
     for j, label in enumerate(pattern.right_labels, 1):
-        neighbors = sorted(adjacency[label])
+        neighbors = pattern.neighbors(label)
         fillers = range(c + 1, c + (b - len(neighbors) - 1) + 1)
         image = tuple(sorted([*neighbors, 2 * c + j, *fillers]))
         right_map[j] = image

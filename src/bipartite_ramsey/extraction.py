@@ -19,11 +19,10 @@ s_1 - 1.
 """
 
 from dataclasses import dataclass
-from itertools import combinations
 
 from .errors import ParameterError
 from .graphs import InducedCopyWitness, verify_witness
-from .hypergraph import majority_positions
+from .hypergraph import _common_value, derive_coloring, encode_derived
 from .subsets import k_subsets, validate_subset
 
 
@@ -107,14 +106,12 @@ def extract_induced(homogeneous, derived, a, b, host, coloring):
 
     The homogeneous set must have at least a*b + b - 1 elements; only
     the smallest a*b + b - 1 are used.  Homogeneity (with exactly the
-    claimed derived value) is re-verified here from the edge coloring
-    before anything is built: the witness is a certificate, so it is not
+    claimed derived value) is re-verified from the derived table before
+    anything is built: the witness is a certificate, so it is not
     constructed from unchecked assumptions.  The host need not have its
     ground set equal to the homogeneous set; elements are addressed by
     rank, i.e. the r-th smallest member plays the role of r.
     """
-    from .constructions import set_bipartite
-
     plan = plan_extraction(a, b, derived)
     k = 2 * b - 1
     if host.membership_arity != k:
@@ -129,14 +126,20 @@ def extract_induced(homogeneous, derived, a, b, host, coloring):
     if members and (members[0] < 1 or members[-1] > host.left_count):
         raise ParameterError(f"homogeneous set not contained in [1,{host.left_count}]")
     members = members[: plan.s]
+    value, _ = _common_value(derive_coloring(coloring, b), members)
+    if value != encode_derived(derived, b):
+        raise ParameterError(f"set {members} is not homogeneous with value {derived}")
+    return construct_induced(members, plan, host, coloring)
 
-    for X in combinations(members, k):
-        colors = [coloring.color_of(z, X) for z in X]
-        if majority_positions(colors, b) != derived:
-            raise ParameterError(
-                f"set is not homogeneous with value {derived}: subset {X} disagrees"
-            )
 
+def construct_induced(members, plan, host, coloring):
+    """The plan's induced monochromatic B_{a,b}, built on the sorted
+    members of a set already known to be homogeneous with the plan's
+    value (the r-th smallest member plays rank r), and checked with
+    verify_witness before it is returned."""
+    from .constructions import set_bipartite
+
+    a, b = plan.a, plan.b
     host_left = tuple(members[rank - 1] for rank in plan.chosen_ranks)
     host_right = []
     for T in k_subsets(a, b):

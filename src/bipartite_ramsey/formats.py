@@ -15,6 +15,11 @@ Subset coloring:
     subsetcoloring <n> <arity> <palette>
     sc <comma-separated subset> <value>
 
+Homogeneous set (value omitted when the set is smaller than the arity;
+a bare list of integers is read as the members alone):
+    homogeneous <v1> <v2> ...
+    value <palette value>
+
 Witness certificate (self-contained: host, optional coloring, pattern,
 and the mapping, so a certificate file can be checked on its own):
     host
@@ -33,12 +38,7 @@ Blank lines and lines starting with '#' are ignored everywhere.
 from math import comb
 
 from .errors import ValidationError
-from .graphs import (
-    Color,
-    EdgeColoring,
-    InducedCopyWitness,
-    make_graph,
-)
+from .graphs import Color, InducedCopyWitness, make_graph, pack_coloring
 from .hypergraph import SubsetColoring
 
 
@@ -47,6 +47,13 @@ def _content_lines(text):
         line = raw.strip()
         if line and not line.startswith("#"):
             yield line
+
+
+def _int(token, what):
+    try:
+        return int(token)
+    except ValueError:
+        raise ValidationError(f"bad {what} {token!r}: expected an integer")
 
 
 def _parse_subset(token):
@@ -58,7 +65,7 @@ def _parse_subset(token):
 
 def _format_label(label):
     if isinstance(label, tuple):
-        return ",".join(str(x) for x in label)
+        return ",".join(map(str, label))
     return str(label)
 
 
@@ -70,8 +77,8 @@ def graph_to_text(graph):
     for idx, label in enumerate(graph.right_labels, 1):
         if isinstance(label, tuple):
             lines.append(f"rlabel {idx} {_format_label(label)}")
-    for left, label in graph.sorted_edges():
-        lines.append(f"e {left} {graph.right_index(label)}")
+    for left, index, _ in graph.indexed_edges():
+        lines.append(f"e {left} {index}")
     return "\n".join(lines) + "\n"
 
 
@@ -86,30 +93,27 @@ def _parse_graph(lines):
     header = lines[0].split()
     if len(header) != 3:
         raise ValidationError(f"bad graph header {lines[0]!r}")
-    try:
-        left_count, right_count = int(header[1]), int(header[2])
-    except ValueError:
-        raise ValidationError(f"bad graph header {lines[0]!r}")
+    left_count, right_count = _int(header[1], "left count"), _int(header[2], "right count")
+    if left_count < 0 or right_count < 0:
+        raise ValidationError(f"bad graph header {lines[0]!r}: negative vertex count")
     labels = {i: i for i in range(1, right_count + 1)}
     edges = []
     for line in lines[1:]:
         parts = line.split()
         if parts[0] == "rlabel" and len(parts) == 3:
-            idx = int(parts[1])
+            idx = _int(parts[1], "rlabel index")
             if not 1 <= idx <= right_count:
                 raise ValidationError(f"rlabel index {idx} out of range")
             labels[idx] = _parse_subset(parts[2])
         elif parts[0] == "e" and len(parts) == 3:
-            edges.append((int(parts[1]), int(parts[2])))
+            left, idx = _int(parts[1], "left"), _int(parts[2], "right index")
+            if not 1 <= idx <= right_count:
+                raise ValidationError(f"edge right index {idx} out of range")
+            edges.append((left, idx))
         else:
             raise ValidationError(f"unrecognized graph line {line!r}")
     right_labels = tuple(labels[i] for i in range(1, right_count + 1))
-    try:
-        resolved = frozenset((left, right_labels[idx - 1]) for left, idx in edges)
-    except IndexError:
-        raise ValidationError("edge references a right index out of range")
-    if any(idx < 1 for _, idx in edges):
-        raise ValidationError("edge references a right index out of range")
+    resolved = ((left, right_labels[idx - 1]) for left, idx in edges)
     return make_graph(left_count, right_labels, resolved)
 
 
@@ -117,27 +121,29 @@ def _parse_graph(lines):
 
 
 def coloring_to_text(coloring):
-    graph = coloring.graph
-    lines = []
-    for left, label in graph.sorted_edges():
-        letter = coloring.color_of(left, label).letter
-        lines.append(f"c {left} {graph.right_index(label)} {letter}")
+    lines = [f"c {left} {index} {'RB'[bit]}" for left, index, bit in coloring.edge_bits()]
     return "\n".join(lines) + "\n"
 
 
-def coloring_from_text(text, graph):
-    colors = {}
+_COLOR_OF_LETTER = {color.letter: color for color in Color}
+
+
+def _coloring_lines(text):
+    """(left, right index, color) per line of an edge-coloring file."""
+    # Fields are converted inline, not through _int: files run to 10^5+ lines.
     for line in _content_lines(text):
         parts = line.split()
         if len(parts) != 4 or parts[0] != "c":
             raise ValidationError(f"unrecognized coloring line {line!r}")
-        left, idx = int(parts[1]), int(parts[2])
-        label = graph.label_at(idx)
-        edge = (left, label)
-        if edge in colors:
-            raise ValidationError(f"duplicate coloring line for edge ({left}, {idx})")
-        colors[edge] = Color.from_letter(parts[3])
-    return EdgeColoring(graph, colors)  # totality validated on construction
+        try:
+            left, index, color = int(parts[1]), int(parts[2]), _COLOR_OF_LETTER[parts[3]]
+        except (KeyError, ValueError):
+            raise ValidationError(f"bad coloring line {line!r}: need integers and R or B")
+        yield left, index, color
+
+
+def coloring_from_text(text, graph):
+    return pack_coloring(graph, _coloring_lines(text))  # validates totality
 
 
 def infer_complete_host(text):
@@ -145,11 +151,8 @@ def infer_complete_host(text):
     from .constructions import complete_bipartite
 
     n = k = 0
-    for line in _content_lines(text):
-        parts = line.split()
-        if len(parts) == 4 and parts[0] == "c":
-            n = max(n, int(parts[1]))
-            k = max(k, int(parts[2]))
+    for left, index, _ in _coloring_lines(text):
+        n, k = max(n, left), max(k, index)
     if n < 1 or k < 1:
         raise ValidationError("coloring file contains no coloring lines")
     return complete_bipartite(n, k)
@@ -157,20 +160,25 @@ def infer_complete_host(text):
 
 def infer_set_host(text, k):
     """Reconstruct B_{n,k} from a total coloring file of a set-membership host."""
+    return _set_host([left for left, _, _ in _coloring_lines(text)], k)
+
+
+def set_coloring_from_text(text, k):
+    """The coloring of B_{n,k} in a total coloring file, parsed in one pass."""
+    colored = list(_coloring_lines(text))
+    return pack_coloring(_set_host([left for left, _, _ in colored], k), colored)
+
+
+def _set_host(lefts, k):
     from .constructions import set_bipartite
 
-    n = 0
-    count = 0
-    for line in _content_lines(text):
-        parts = line.split()
-        if len(parts) == 4 and parts[0] == "c":
-            n = max(n, int(parts[1]))
-            count += 1
+    n = max(lefts, default=0)
     if n < k:
         raise ValidationError(f"coloring file too small for a set graph of arity {k}")
-    if count != k * comb(n, k):
+    if len(lefts) != k * comb(n, k):
         raise ValidationError(
-            f"coloring has {count} lines, a total coloring of B_({n},{k}) needs {k * comb(n, k)}"
+            f"coloring has {len(lefts)} lines, a total coloring of B_({n},{k}) "
+            f"needs {k * comb(n, k)}"
         )
     return set_bipartite(n, k)
 
@@ -192,7 +200,7 @@ def subset_coloring_from_text(text):
     header = lines[0].split()
     if len(header) != 4:
         raise ValidationError(f"bad subset-coloring header {lines[0]!r}")
-    n, arity, palette = (int(x) for x in header[1:])
+    n, arity, palette = (_int(x, "subset-coloring header field") for x in header[1:])
     mapping = {}
     for line in lines[1:]:
         parts = line.split()
@@ -201,8 +209,33 @@ def subset_coloring_from_text(text):
         subset = _parse_subset(parts[1])
         if subset in mapping:
             raise ValidationError(f"duplicate subset {subset}")
-        mapping[subset] = int(parts[2])
+        mapping[subset] = _int(parts[2], "subset value")
     return SubsetColoring.from_map(n, arity, palette, mapping)
+
+
+# -- homogeneous sets ----------------------------------------------------
+
+
+def homogeneous_to_text(vertices, value):
+    text = "homogeneous " + " ".join(str(v) for v in vertices) + "\n"
+    return text + (f"value {value}\n" if value is not None else "")
+
+
+def homogeneous_from_text(text):
+    """(sorted members, palette value or None) from homogeneous-set text."""
+    members = set()
+    value = None
+    for line in _content_lines(text):
+        tokens = line.replace(",", " ").split()
+        if tokens[0] == "value":
+            if len(tokens) != 2 or value is not None:
+                raise ValidationError(f"bad value line {line!r}")
+            value = _int(tokens[1], "value")
+            continue
+        if tokens[0] == "homogeneous":
+            tokens = tokens[1:]
+        members.update(_int(token, "member") for token in tokens)
+    return sorted(members), value
 
 
 # -- witness certificates -----------------------------------------------
@@ -263,16 +296,16 @@ def certificate_from_text(text):
         parts = line.split()
         if len(parts) != 3 or parts[0] not in ("wleft", "wright"):
             raise ValidationError(f"unrecognized witness line {line!r}")
-        index = int(parts[1])
+        index = _int(parts[1], "witness index")
         if parts[0] == "wleft":
             if index in lefts:
                 raise ValidationError(f"duplicate wleft {index}")
-            lefts[index] = int(parts[2])
+            lefts[index] = _int(parts[2], "witness left")
         else:
             if index in rights:
                 raise ValidationError(f"duplicate wright {index}")
             token = parts[2]
-            rights[index] = _parse_subset(token) if "," in token else int(token)
+            rights[index] = _parse_subset(token) if "," in token else _int(token, "witness right")
     if sorted(lefts) != list(range(1, pattern.left_count + 1)):
         raise ValidationError("wleft lines must cover pattern lefts 1..c exactly")
     if sorted(rights) != list(range(1, len(pattern.right_labels) + 1)):

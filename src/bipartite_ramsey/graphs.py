@@ -8,6 +8,15 @@ ground set.  Edges are stored explicitly as (left, right_label) pairs, so
 non-edges are first-class: the induced-subgraph checks below depend on
 them as much as on the edges.
 
+An edge 2-coloring is packed: one bit mask per right vertex, in
+right_labels order.  Bit p of a right's mask is the color (RED = 0,
+BLUE = 1) of its edge to its p-th smallest neighbour, counting p from 0;
+a set-membership right X = {z_0 < z_1 < ...} is its own neighbourhood,
+so bit p colors the edge (z_p, X).  The masks are a bytes object when
+every right has at most 8 neighbours (every B_{n,k} with k <= 8) and a
+tuple of ints otherwise.  Both are sequences of ints, so nothing outside
+the EdgeColoring constructor looks at which one it holds.
+
 Everything here is an immutable value; operations are pure functions and
 safe to call concurrently.
 
@@ -16,16 +25,14 @@ oracle: deliberately unclever, exhaustive over injective vertex maps, and
 trusted by the rest of the package as ground truth at desk scale.
 """
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from enum import IntEnum
 from functools import cached_property
 from itertools import combinations, permutations
-from typing import Optional, Union
+from typing import Optional
 
 from .errors import BudgetMeter, ValidationError
-
-RightLabel = Union[int, tuple]
-Edge = tuple  # (left: int, right_label: RightLabel)
 
 
 class Color(IntEnum):
@@ -133,13 +140,6 @@ class BipartiteGraph:
     def __post_init__(self):
         if self.left_count < 0:
             raise ValidationError(f"left_count must be >= 0, got {self.left_count}")
-        if isinstance(self.edges, MembershipEdgeSet):
-            view = self.edges
-            labels = tuple(combinations(range(1, view.n + 1), view.k))
-            if self.left_count != view.n or tuple(self.right_labels) != labels:
-                raise ValidationError("edge view does not match the graph shape")
-            object.__setattr__(self, "right_labels", labels)
-            return
         labels = tuple(_normalize_label(l) for l in self.right_labels)
         if len(set(labels)) != len(labels):
             raise ValidationError("right labels must be pairwise distinct")
@@ -193,15 +193,7 @@ class BipartiteGraph:
 
     def has_right_label(self, label):
         if isinstance(self.edges, MembershipEdgeSet):
-            view = self.edges
-            return (
-                isinstance(label, tuple)
-                and len(label) == view.k
-                and all(isinstance(v, int) for v in label)
-                and all(a < b for a, b in zip(label, label[1:]))
-                and 1 <= label[0]
-                and label[-1] <= view.n
-            )
+            return isinstance(label, tuple) and bool(label) and (label[0], label) in self.edges
         return label in self._label_index
 
     def right_index(self, label):
@@ -226,18 +218,41 @@ class BipartiteGraph:
     def has_edge(self, left, label):
         return (left, label) in self.edges
 
-    def sorted_edges(self):
-        """Edges ordered by (left, right position); the canonical order."""
-        idx = self._label_index
-        return sorted(self.edges, key=lambda e: (e[0], idx[e[1]]))
+    def neighbors(self, label):
+        """Sorted tuple of the lefts adjacent to a right label."""
+        if isinstance(self.edges, MembershipEdgeSet):
+            return label  # a set-membership right is its own neighbourhood
+        return self._neighbor_table[label]
 
     @cached_property
-    def adjacency_by_right(self):
-        """Right label -> frozenset of adjacent left vertices."""
-        adj = {label: set() for label in self.right_labels}
+    def _neighbor_table(self):
+        table = {label: [] for label in self.right_labels}
         for left, label in self.edges:
-            adj[label].add(left)
-        return {label: frozenset(s) for label, s in adj.items()}
+            table[label].append(left)
+        return {label: tuple(sorted(lefts)) for label, lefts in table.items()}
+
+    @cached_property
+    def _max_degree(self):
+        if isinstance(self.edges, MembershipEdgeSet):
+            return self.edges.k
+        return max(map(len, self._neighbor_table.values()), default=0)
+
+    def sorted_edges(self):
+        """Edges ordered by (left, right position); the canonical order."""
+        labels = self.right_labels
+        return [(left, labels[index - 1]) for left, index, _ in self.indexed_edges()]
+
+    def indexed_edges(self):
+        """(left, 1-based right index, p) per edge in the canonical order,
+        where left is the right's p-th smallest neighbour (from 0).  Edges
+        are bucketed by left from the neighbour lists, not sorted."""
+        rows = [[] for _ in range(self.left_count + 1)]
+        for index, label in enumerate(self.right_labels, 1):
+            for p, left in enumerate(self.neighbors(label)):
+                rows[left].append((index, p))
+        for left, row in enumerate(rows):
+            for index, p in row:
+                yield left, index, p
 
     def is_complete(self):
         return self.edge_count == self.left_count * len(self.right_labels)
@@ -262,11 +277,7 @@ class BipartiteGraph:
         n = self.left_count
         if self.right_labels != tuple(k_subsets(n, k)):
             return None
-        from math import comb
-
-        if self.edge_count != k * comb(n, k):
-            return None
-        if any(left not in label for left, label in self.edges):
+        if any(self.neighbors(label) != label for label in self.right_labels):
             return None
         return k
 
@@ -282,96 +293,118 @@ def make_graph(left_count, right_labels, edges):
     return BipartiteGraph(left_count, tuple(right_labels), frozenset(edges))
 
 
-class ConstantEdgeMap:
-    """Read-only total edge->color map that never materializes its entries.
-
-    Used for constant colorings of large hosts, where a dict with one
-    entry per edge would dominate memory.
-    """
-
-    __slots__ = ("_graph", "_color")
-
-    def __init__(self, graph, color):
-        self._graph = graph
-        self._color = Color(color)
-
-    def __getitem__(self, edge):
-        if edge not in self._graph.edges:
-            raise KeyError(edge)
-        return self._color
-
-    def __contains__(self, edge):
-        return edge in self._graph.edges
-
-    def __iter__(self):
-        return iter(self._graph.edges)
-
-    def __len__(self):
-        return len(self._graph.edges)
-
-    def keys(self):
-        return self._graph.edges
-
-    def __eq__(self, other):
-        if isinstance(other, ConstantEdgeMap):
-            return self._graph == other._graph and self._color == other._color
-        if isinstance(other, dict):
-            return len(other) == len(self) and all(
-                other.get(e) == self._color for e in self
-            )
-        return NotImplemented
+def _bit(neighbors, left):
+    """Position of a left among a right's sorted neighbours; ValueError
+    when it is not one of them."""
+    p = bisect_left(neighbors, left)
+    if p == len(neighbors) or neighbors[p] != left:
+        raise ValueError(f"{left!r} is not a neighbour")
+    return p
 
 
 @dataclass(frozen=True, eq=False)
 class EdgeColoring:
-    """Total map from a graph's edges to {RED, BLUE}."""
+    """Total map from a graph's edges to {RED, BLUE}, packed per right.
+
+    masks[r] holds the colors of the edges at right_labels[r]: bit p is
+    the color of the edge to that right's p-th smallest neighbour (see
+    the module docstring for the layout and the two storage types).
+    constant_coloring, coloring_from_map and random_coloring build
+    colorings; the last two validate that every edge is colored once.
+    """
 
     graph: BipartiteGraph
-    colors: object  # Mapping edge -> Color, with exactly graph.edges as keys
+    masks: object  # bytes, or a tuple of ints when some right has degree > 8
 
     def __post_init__(self):
-        colors = self.colors
-        if isinstance(colors, ConstantEdgeMap):
-            return
-        colors = {k: Color(v) for k, v in dict(colors).items()}
-        if set(colors.keys()) != set(self.graph.edges):
-            missing = len(self.graph.edges) - len(colors.keys() & self.graph.edges)
-            extra = len(colors.keys() - self.graph.edges)
-            raise ValidationError(
-                f"coloring is not total over the graph's edges "
-                f"({missing} missing, {extra} unknown)"
-            )
-        object.__setattr__(self, "colors", colors)
+        graph, masks = self.graph, self.masks
+        if len(masks) != graph.right_count or (
+            masks and (min(masks) < 0 or max(masks) >> graph._max_degree)
+        ):
+            raise ValidationError("a coloring needs one mask per right, within its degree")
+        object.__setattr__(self, "masks", (bytes if graph._max_degree <= 8 else tuple)(masks))
 
     def color_of(self, left, label):
+        graph = self.graph
         try:
-            return self.colors[(left, label)]
-        except KeyError:
+            mask = self.masks[graph.right_index(label) - 1]
+            return (RED, BLUE)[mask >> _bit(graph.neighbors(label), left) & 1]
+        except (TypeError, ValueError):
             raise ValidationError(f"no edge ({left}, {label!r}) in the colored graph")
+
+    def edge_bits(self):
+        """(left, 1-based right index, color bit) per edge in the canonical
+        edge order; the bit is 0 for RED and 1 for BLUE."""
+        masks = self.masks
+        for left, index, p in self.graph.indexed_edges():
+            yield left, index, masks[index - 1] >> p & 1
 
     def __eq__(self, other):
         if not isinstance(other, EdgeColoring):
             return NotImplemented
-        return self.graph == other.graph and self.colors == other.colors
+        return self.graph == other.graph and self.masks == other.masks
 
     def __repr__(self):
         return f"EdgeColoring(graph={self.graph!r}, edges={len(self.graph.edges)})"
 
 
+def pack_coloring(graph, colored_edges):
+    """EdgeColoring from (left, 1-based right index, color) triples, one
+    per edge.
+
+    Raises ValidationError for a pair that is not an edge, an edge
+    colored twice, a value that is not a color, or an edge left out.
+    """
+    labels, neighbors = graph.right_labels, graph.neighbors
+    masks = [0] * len(labels)
+    seen = [0] * len(labels)
+    count = 0
+    for left, index, color in colored_edges:
+        r = index - 1
+        try:
+            bit = 1 << _bit(neighbors(labels[r]), left) if r >= 0 else 0
+        except (IndexError, TypeError, ValueError):
+            bit = 0  # no such right, or the left is not one of its neighbours
+        if not bit:
+            raise ValidationError(f"({left!r}, right {index!r}) is not an edge of the graph")
+        if seen[r] & bit or color not in (RED, BLUE):
+            raise ValidationError(f"edge ({left}, right {index}) colored twice or not by a color")
+        seen[r] |= bit
+        masks[r] |= bit * color
+        count += 1
+    if count != graph.edge_count:
+        raise ValidationError(
+            f"coloring is not total: {graph.edge_count - count} edges are uncolored"
+        )
+    return EdgeColoring(graph, masks)
+
+
 def constant_coloring(graph, color):
     """Color every edge of the graph the same."""
-    return EdgeColoring(graph, ConstantEdgeMap(graph, color))
+    if Color(color) is RED:
+        return EdgeColoring(graph, bytes(graph.right_count))
+    full = [(1 << len(graph.neighbors(label))) - 1 for label in graph.right_labels]
+    return EdgeColoring(graph, full)
 
 
 def coloring_from_map(graph, mapping):
     """EdgeColoring from an explicit edge -> color dict (validated total)."""
-    return EdgeColoring(graph, dict(mapping))
+    index = graph._label_index
+
+    def colored_edges():
+        for edge, color in mapping.items():
+            if type(edge) is not tuple or len(edge) != 2 or edge[1] not in index:
+                raise ValidationError(f"{edge!r} is not an edge of the graph")
+            yield edge[0], index[edge[1]], color
+
+    return pack_coloring(graph, colored_edges())
 
 
 def random_coloring(graph, rng):
     """Independent fair RED/BLUE choice per edge, in canonical edge order."""
-    return EdgeColoring(
-        graph, {e: (RED if rng.random() < 0.5 else BLUE) for e in graph.sorted_edges()}
+    edges = graph.indexed_edges()
+    return pack_coloring(
+        graph, ((left, index, RED if rng.random() < 0.5 else BLUE) for left, index, _ in edges)
     )
 
 
@@ -497,10 +530,8 @@ def find_induced_monochromatic(host, coloring, pattern, budget=None):
         raise ValidationError("coloring refers to a different graph than the host")
 
     meter = BudgetMeter(budget)
-    host_adj = host.adjacency_by_right
-    pattern_adj = pattern.adjacency_by_right
-    # Pattern right neighborhoods in pattern right order.
-    pat_needs = [pattern_adj[label] for label in pattern.right_labels]
+    host_adj = [frozenset(host.neighbors(label)) for label in host.right_labels]
+    pat_needs = [pattern.neighbors(label) for label in pattern.right_labels]
     host_labels = host.right_labels
     pattern_has_edges = pattern.edge_count > 0
 
@@ -531,9 +562,10 @@ def _assign_rights(host, coloring, host_labels, host_adj, needs, left_set, color
             if idx in used:
                 continue
             meter.charge()
-            if host_adj[label] & left_set != needs[j]:
+            if host_adj[idx] & left_set != needs[j]:
                 continue
-            if any(coloring.color_of(l, label) != color for l in needs[j]):
+            mask, neighbors = coloring.masks[idx], host.neighbors(label)
+            if any(mask >> _bit(neighbors, l) & 1 != color for l in needs[j]):
                 continue
             used.add(idx)
             chosen.append(label)

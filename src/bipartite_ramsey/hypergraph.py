@@ -13,7 +13,9 @@ least b times among the edges (z_p, X) (the counts sum to an odd number,
 so exactly one color qualifies) and I is the set of the b smallest
 positions p with that color.  Which b positions to record is a free
 choice; smallest-first is pinned here for determinism.  The palette has
-exactly 2 * C(2b-1, b) values.
+exactly 2 * C(2b-1, b) values.  The vote depends only on a subset's
+packed edge mask, so it is computed once per mask value (2^(2b-1) of
+them) and the masks are mapped through that table.
 
 Everything exhaustive is budgeted: searches refuse loudly instead of
 running unboundedly, since interesting homogeneous-set thresholds are
@@ -52,7 +54,7 @@ class SubsetColoring:
                 f"coloring must cover all C({self.n},{self.arity}) = {expected} "
                 f"subsets, got {len(values)} values"
             )
-        if any(not (1 <= v <= self.palette_size) for v in values):
+        if values and not (1 <= min(values) and max(values) <= self.palette_size):
             raise ValidationError(
                 f"palette values must lie in 1..{self.palette_size}"
             )
@@ -139,12 +141,13 @@ def derive_coloring(coloring, b):
             f"host must be the full set-membership graph B_(n,{k}) "
             f"for b={b}, got {host!r}"
         )
-    n = host.left_count
-    values = []
-    for X in k_subsets(n, k):
-        colors = [coloring.color_of(z, X) for z in X]
-        values.append(encode_derived(majority_positions(colors, b), b))
-    return SubsetColoring(n=n, arity=k, palette_size=derived_palette_size(b), values=tuple(values))
+    # Bit p of a subset's mask colors its edge at position p + 1.
+    table = [
+        encode_derived(majority_positions([(RED, BLUE)[m >> p & 1] for p in range(k)], b), b)
+        for m in range(1 << k)
+    ]
+    values = tuple(map(table.__getitem__, coloring.masks))
+    return SubsetColoring(host.left_count, k, derived_palette_size(b), values)
 
 
 def _common_value(coloring, vertices, meter=None):
@@ -156,7 +159,8 @@ def _common_value(coloring, vertices, meter=None):
         if meter is not None:
             meter.charge(len(coloring.values))
         first = coloring.values[0]
-        return (first, True) if all(v == first for v in coloring.values) else (None, False)
+        ok = coloring.values.count(first) == len(coloring.values)
+        return (first, True) if ok else (None, False)
     first = None
     for subset in combinations(vertices, coloring.arity):
         if meter is not None:

@@ -21,7 +21,7 @@ from math import comb
 
 from .constructions import embed_into_set_bipartite
 from .errors import ParameterError, ValidationError
-from .extraction import extract_induced
+from .extraction import construct_induced, plan_extraction
 from .graphs import BLUE, RED, InducedCopyWitness, verify_witness
 from .hypergraph import decode_derived, derive_coloring, find_homogeneous_set
 from .subsets import subset_rank
@@ -84,7 +84,10 @@ def find_induced_mono_pattern(pattern, coloring, budget=None):
         return None
     homogeneous, value = found
     derived = decode_derived(value, report.b)
-    inner = extract_induced(homogeneous, derived, report.a, report.b, host, coloring)
+    # find_homogeneous_set has just checked every subset of the set, so
+    # the construction runs without extract_induced's second check.
+    plan = plan_extraction(report.a, report.b, derived)
+    inner = construct_induced(homogeneous, plan, host, coloring)
 
     # Compose the embedding with the extracted copy.  Pattern right j sits
     # at some b-subset of [a]; its final image is the host right vertex the
@@ -115,15 +118,19 @@ def export_dot(graph, coloring=None, witness=None):
     """Graphviz text for a bipartite graph in the two-column style:
     lefts in one rank, rights in another, edges red/blue when colored
     and black otherwise, witness vertices and edges drawn bold."""
+    marked_lefts, marked_rights = set(), set()  # rights by 1-based index
     if witness is not None:
         for left in witness.host_left:
             if not (isinstance(left, int) and 1 <= left <= graph.left_count):
                 raise ValidationError(f"witness references unknown left {left!r}")
-        for label in witness.host_right:
-            if not graph.has_right_label(label):
-                raise ValidationError(f"witness references unknown right {label!r}")
-    marked_lefts = set(witness.host_left) if witness is not None else set()
-    marked_rights = set(witness.host_right) if witness is not None else set()
+        marked_lefts = set(witness.host_left)
+        marked_rights = {graph.right_index(label) for label in witness.host_right}
+    if coloring is None:
+        edges = ((left, index, None) for left, index, _ in graph.indexed_edges())
+    elif coloring.graph is graph or coloring.graph == graph:
+        edges = coloring.edge_bits()
+    else:
+        raise ValidationError("coloring refers to a different graph")
 
     lines = ["graph bipartite {", "  rankdir=LR;", "  node [shape=circle];"]
     left_nodes = []
@@ -136,17 +143,16 @@ def export_dot(graph, coloring=None, witness=None):
         lines.append("  }")
     right_nodes = []
     for idx, label in enumerate(graph.right_labels, 1):
-        style = ' style=bold penwidth=2' if label in marked_rights else ""
+        style = ' style=bold penwidth=2' if idx in marked_rights else ""
         right_nodes.append(f'    R{idx} [label="{_node_label(label)}"{style}];')
     if right_nodes:
         lines.append("  { rank=same;")
         lines.extend(right_nodes)
         lines.append("  }")
-    for left, label in graph.sorted_edges():
-        color = coloring.color_of(left, label) if coloring is not None else None
-        attrs = [f"color={_DOT_COLOR[color]}"]
-        if left in marked_lefts and label in marked_rights:
+    for left, index, bit in edges:
+        attrs = [f"color={_DOT_COLOR[bit]}"]
+        if left in marked_lefts and index in marked_rights:
             attrs.append("penwidth=2")
-        lines.append(f'  L{left} -- R{graph.right_index(label)} [{" ".join(attrs)}];')
+        lines.append(f'  L{left} -- R{index} [{" ".join(attrs)}];')
     lines.append("}")
     return "\n".join(lines) + "\n"

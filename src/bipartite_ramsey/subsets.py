@@ -8,6 +8,8 @@ exposed to users (file formats, right-vertex indices) are rank + 1.
 from itertools import combinations
 from math import comb
 
+from .errors import ValidationError
+
 
 def k_subsets(n, k):
     """All k-subsets of {1,...,n} as sorted tuples, in lexicographic order."""
@@ -50,11 +52,11 @@ def validate_subset(subset, n, k=None):
     """Check a sorted k-subset of {1,...,n}; return it as a tuple."""
     t = tuple(subset)
     if k is not None and len(t) != k:
-        raise ValueError(f"expected a {k}-subset, got {len(t)} elements")
+        raise ValidationError(f"expected a {k}-subset, got {len(t)} elements")
     if any(not isinstance(x, int) for x in t):
-        raise ValueError(f"subset elements must be integers: {t}")
+        raise ValidationError(f"subset elements must be integers: {t}")
     if any(t[i] >= t[i + 1] for i in range(len(t) - 1)):
-        raise ValueError(f"subset must be strictly increasing: {t}")
+        raise ValidationError(f"subset must be strictly increasing: {t}")
     if t and (t[0] < 1 or t[-1] > n):
-        raise ValueError(f"subset {t} not contained in [1,{n}]")
+        raise ValidationError(f"subset {t} not contained in [1,{n}]")
     return t

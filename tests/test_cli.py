@@ -182,3 +182,38 @@ def test_console_script_installed():
     )
     assert proc.returncode == 0
     assert proc.stdout.splitlines()[0] == "bipartite 2 2"
+
+
+def test_extract_induced_reads_find_homogeneous_output_verbatim(tmp_path):
+    host = set_bipartite(9, 3)
+    coloring = position_rule_coloring(host, RED, (1, 3))
+    colfile = write(tmp_path / "col.txt", coloring_to_text(coloring))
+    scfile, homfile, cert = (str(tmp_path / name) for name in ("sc.txt", "hom.txt", "cert.txt"))
+    assert main(["derive-coloring", colfile, "--b", "2", "-o", scfile]) == 0
+    assert main(["find-homogeneous", scfile, "--s", "9", "-o", homfile]) == 0
+    assert open(homfile).read().splitlines()[1].startswith("value ")
+    code = main(
+        ["extract-induced", colfile, "--a", "4", "--b", "2", "--homogeneous", homfile, "-o", cert]
+    )
+    assert code == 0
+    assert main(["verify", cert]) == 0
+    _, _, witness = certificate_from_text(open(cert).read())
+    assert witness.host_left == (2, 4, 6, 8)
+
+
+MALFORMED = {
+    "graph-left-token": (["dot"], "bipartite 2 2\ne 1 x\n"),
+    "graph-negative-rights": (["dot"], "bipartite 2 -1\n"),
+    "coloring-left-token": (["extract-complete", "--a", "1", "--b", "1"], "c 1 1 R\nc q 1 R\n"),
+    "coloring-right-token": (["extract-complete", "--a", "1", "--b", "1"], "c 1 q R\n"),
+    "subset-not-arity": (["find-homogeneous", "--s", "2"], "subsetcoloring 3 2 2\nsc 1,3,2 1\n"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED))
+def test_malformed_file_is_input_error(tmp_path, capsys, case):
+    command, text = MALFORMED[case]
+    path = write(tmp_path / "input.txt", text)
+    assert main([command[0], path, *command[1:]]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err
