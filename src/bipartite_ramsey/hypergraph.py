@@ -17,11 +17,20 @@ exactly 2 * C(2b-1, b) values.  The vote depends only on a subset's
 packed edge mask, so it is computed once per mask value (2^(2b-1) of
 them) and the masks are mapped through that table.
 
+find_homogeneous_set returns the lexicographically first homogeneous
+s-set.  It grows a vertex prefix depth-first in increasing vertex order
+and, when a vertex v joins, looks up only the arity-subsets v completes
+with the prefix; the first disagreement abandons the prefix, since every
+superset of a non-homogeneous set is non-homogeneous too.  Its budget
+counts the subset-value lookups actually made, far fewer than the
+arity-subsets of every s-set in turn.
+
 Everything exhaustive is budgeted: searches refuse loudly instead of
 running unboundedly, since interesting homogeneous-set thresholds are
 astronomically out of reach.  Only micro parameters terminate.
 """
 
+import operator
 from dataclasses import dataclass
 from itertools import combinations, product
 from math import comb
@@ -178,7 +187,10 @@ def is_homogeneous(coloring, vertices):
 
     Vacuously true when the set has fewer than arity elements.
     """
-    vset = sorted(set(vertices))
+    try:
+        vset = sorted({operator.index(v) for v in vertices})
+    except TypeError:
+        raise ParameterError(f"vertices must be integers, got {vertices!r}") from None
     if vset and (vset[0] < 1 or vset[-1] > coloring.n):
         raise ParameterError(f"vertex set {vset} not contained in [1,{coloring.n}]")
     if len(vset) < coloring.arity:
@@ -192,21 +204,80 @@ def find_homogeneous_set(coloring, s, budget=None):
 
     Returns (vertices, value) or None when no s-subset is homogeneous
     (including the trivial case s > n, where no s-subset exists at all).
-    The value is None in the vacuous case s < arity.  Counting one check
-    per subset-color lookup, raises BudgetExceededError past the budget.
+    The value is None in the vacuous case s < arity.  s = n checks the
+    whole value table at once; otherwise the search extends a chosen
+    prefix depth-first in increasing vertex order, looking up only the
+    arity-subsets each new vertex completes.  One budget check is one
+    subset-value lookup actually made; past the budget the search raises
+    BudgetExceededError.
     """
+    try:
+        s = operator.index(s)
+    except TypeError:
+        raise ParameterError(f"s must be an integer, got {s!r}") from None
     if s < 0:
         raise ParameterError(f"s must be >= 0, got {s}")
     if s > coloring.n:
         return None
     meter = BudgetMeter(budget)
-    for candidate in combinations(range(1, coloring.n + 1), s):
-        if len(candidate) < coloring.arity:
-            return candidate, None
-        value, ok = _common_value(coloring, candidate, meter)
-        if ok:
-            return candidate, value
-    return None
+    if s < coloring.arity:
+        return tuple(range(1, s + 1)), None
+    if s == coloring.n or coloring.arity == 0:  # arity 0: one subset, (), colors all
+        value, ok = _common_value(coloring, range(1, s + 1), meter)
+        return (tuple(range(1, s + 1)), value) if ok else None
+    return _extend_homogeneous(coloring, s, meter)
+
+
+def _extend_homogeneous(coloring, s, meter):
+    """Depth-first search for 1 <= arity <= s < n.
+
+    Vertices join the chosen prefix in increasing order, so complete
+    s-sets are reached in combinations order, and a prefix that is not
+    homogeneous is abandoned (homogeneity is hereditary): the first
+    s-set reached is the lexicographically first homogeneous one.
+
+    With k = arity, rank(X) = C(n,k) - 1 - sum_j C(n - x_j, k - j) (see
+    subset_rank).  sums[t] holds that sum over the positions of each
+    t-subset of the prefix, so the subset Y + (v,) completed by a new
+    vertex v ranks top - sums[k-1][Y] + v, with top = C(n,k) - 1 - n.
+    """
+    n, k, values = coloring.n, coloring.arity, coloring.values
+    top = len(values) - 1 - n
+    sums = [[0]] + [[] for _ in range(k - 1)]
+    chosen = []
+    value = None  # fixed by the prefix's first k vertices
+    v = 1
+    while True:
+        if v > n - s + len(chosen) + 1:
+            # Too few vertices left to complete this prefix: backtrack.
+            if not chosen:
+                return None
+            v = chosen.pop() + 1
+            depth = len(chosen)
+            for t, level in enumerate(sums):
+                del level[comb(depth, t):]
+            if depth < k:
+                value = None
+            continue
+        new = value
+        for partial in sums[-1]:
+            meter.charge()
+            got = values[top - partial + v]
+            if new is None:
+                new = got
+            elif got != new:
+                break
+        else:
+            if len(chosen) == s - 1:
+                return (*chosen, v), new
+            # New t-subsets of the prefix are the (t-1)-subsets plus v,
+            # whose position t-1 adds C(n - v, k - t + 1).
+            for t in range(k - 1, 0, -1):
+                c = comb(n - v, k - t + 1)
+                sums[t].extend([p + c for p in sums[t - 1]])
+            chosen.append(v)
+            value = new
+        v += 1
 
 
 def _first_counterexample(arity, palette, s, n, meter):

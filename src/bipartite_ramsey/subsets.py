@@ -17,15 +17,14 @@ def k_subsets(n, k):
 
 
 def subset_rank(subset, n):
-    """0-based lexicographic rank of a sorted k-subset of {1,...,n}."""
+    """0-based lexicographic rank of a sorted k-subset of {1,...,n}.
+
+    Closed form: the k-subsets after X = {x_0 < ... < x_{k-1}} number
+    sum_j C(n - x_j, k - j) (those agreeing with X before position j and
+    larger at j), so rank(X) = C(n,k) - 1 - that sum.
+    """
     k = len(subset)
-    rank = 0
-    prev = 0
-    for j, s in enumerate(subset):
-        for v in range(prev + 1, s):
-            rank += comb(n - v, k - j - 1)
-        prev = s
-    return rank
+    return comb(n, k) - 1 - sum(comb(n - x, k - j) for j, x in enumerate(subset))
 
 
 def subset_unrank(rank, n, k):

@@ -3,11 +3,13 @@
 import random
 import subprocess
 import sys
+from itertools import combinations
 
 import pytest
 
 from bipartite_ramsey import (
     RED,
+    SubsetColoring,
     complete_bipartite,
     constant_coloring,
     random_coloring,
@@ -19,6 +21,7 @@ from bipartite_ramsey.formats import (
     coloring_to_text,
     graph_to_text,
     subset_coloring_from_text,
+    subset_coloring_to_text,
 )
 from conftest import position_rule_coloring
 
@@ -148,6 +151,18 @@ def test_ramsey_number_exit_codes(capsys, monkeypatch):
     assert main(["ramsey-number", "--arity", "2", "--palette", "2", "--size", "3", "--max-n", "5"]) == 1
     monkeypatch.setenv("RW_BUDGET", "50")
     assert main(["ramsey-number", "--arity", "2", "--palette", "2", "--size", "4", "--max-n", "9"]) == 2
+
+
+def test_find_homogeneous_budget_exit_code(tmp_path, monkeypatch):
+    # Equal-parity pairs get value 1: the search for a homogeneous 6-set
+    # of [12] makes more than 5 lookups before it reaches (1, 3, ..., 11).
+    mapping = {pair: 1 + sum(pair) % 2 for pair in combinations(range(1, 13), 2)}
+    scfile = write(
+        tmp_path / "sc.txt", subset_coloring_to_text(SubsetColoring.from_map(12, 2, 2, mapping))
+    )
+    assert main(["find-homogeneous", scfile, "--s", "6"]) == 0
+    monkeypatch.setenv("RW_BUDGET", "5")
+    assert main(["find-homogeneous", scfile, "--s", "6"]) == 2
 
 
 def test_params_output(tmp_path, capsys):

@@ -199,6 +199,144 @@ def test_find_homogeneous_budget():
         find_homogeneous_set(sc, 6, budget=20)
 
 
+def brute_force_homogeneous(sc, s):
+    """Reference: walk every s-subset in combinations order and read each
+    arity-subset's value from the coloring's own (subset, value) pairs."""
+    if s > sc.n:
+        return None
+    table = dict(sc.items())
+    for candidate in combinations(range(1, sc.n + 1), s):
+        if s < sc.arity:
+            return candidate, None
+        values = {table[subset] for subset in combinations(candidate, sc.arity)}
+        if len(values) == 1:
+            return candidate, values.pop()
+    return None
+
+
+def random_subset_coloring(rng, n, arity, palette):
+    # Half the colorings favour value 1, so large homogeneous sets occur.
+    weights = [1] * palette if rng.random() < 0.5 else [4 * palette] + [1] * (palette - 1)
+    values = rng.choices(range(1, palette + 1), weights, k=comb(n, arity))
+    return SubsetColoring(n, arity, palette, values)
+
+
+def assert_homogeneous_answer(sc, s, found):
+    vertices, value = found
+    assert vertices == tuple(sorted(set(vertices))) and len(vertices) == s
+    assert is_homogeneous(sc, vertices)
+    if s < sc.arity:
+        assert value is None
+    else:
+        assert all(sc.value_of(subset) == value for subset in combinations(vertices, sc.arity))
+
+
+def test_find_homogeneous_matches_brute_force_on_random_colorings():
+    rng = random.Random(2024)
+    cases = 0
+    for _ in range(400):
+        arity, palette = rng.randint(1, 4), rng.randint(1, 3)
+        n = rng.randint(0, 9)
+        sc = random_subset_coloring(rng, n, arity, palette)
+        for s in range(n + 2):
+            found = find_homogeneous_set(sc, s)
+            assert found == brute_force_homogeneous(sc, s), (n, arity, palette, s)
+            if found is not None:
+                assert_homogeneous_answer(sc, s, found)
+            cases += 1
+    assert cases > 2000
+
+
+def test_find_homogeneous_matches_brute_force_on_planted_derived_colorings():
+    # Random 2-colorings of B_{11,3} with a homogeneous 8-set planted on the
+    # last vertices: arity 3, palette 6, found only deep in the search.
+    host = set_bipartite(11, 3)
+    planted = set(range(4, 12))
+    for seed in range(3):
+        rng = random.Random(seed)
+        positions = tuple(sorted(rng.sample((1, 2, 3), 2)))
+        colors = {}
+        for X in host.right_labels:
+            for p, z in enumerate(X, 1):
+                if set(X) <= planted:
+                    colors[(z, X)] = RED if p in positions else BLUE
+                else:
+                    colors[(z, X)] = RED if rng.random() < 0.5 else BLUE
+        derived = derive_coloring(coloring_from_map(host, colors), 2)
+        assert derived.palette_size == 6
+        for s in range(3, 10):
+            found = find_homogeneous_set(derived, s)
+            assert found == brute_force_homogeneous(derived, s)
+            if found is not None:
+                assert_homogeneous_answer(derived, s, found)
+        assert find_homogeneous_set(derived, 8)[0] <= tuple(range(4, 12))
+
+
+def test_find_homogeneous_property():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+
+    @st.composite
+    def colorings(draw):
+        arity = draw(st.integers(1, 3))
+        n = draw(st.integers(arity, 7))
+        palette = draw(st.integers(1, 3))
+        values = draw(st.lists(st.integers(1, palette), min_size=comb(n, arity),
+                               max_size=comb(n, arity)))
+        return SubsetColoring(n, arity, palette, values)
+
+    @hypothesis.settings(max_examples=200, deadline=None)
+    @hypothesis.given(colorings(), st.integers(0, 8))
+    def check(sc, s):
+        assert find_homogeneous_set(sc, s) == brute_force_homogeneous(sc, s)
+
+    check()
+
+
+@pytest.mark.parametrize("s", [2.5, "3", None])
+def test_find_homogeneous_rejects_non_integer_size(s):
+    with pytest.raises(ParameterError):
+        find_homogeneous_set(_block_coloring(), s)
+
+
+@pytest.mark.parametrize("vertices", [{1, 2.5, 3}, {1, "2", 3}])
+def test_is_homogeneous_rejects_non_integer_vertices(vertices):
+    with pytest.raises(ParameterError):
+        is_homogeneous(_block_coloring(), vertices)
+
+
+def parity_coloring(n):
+    """Pairs of equal parity get value 1, mixed pairs value 2."""
+    mapping = {pair: 1 + (pair[0] + pair[1]) % 2 for pair in combinations(range(1, n + 1), 2)}
+    return SubsetColoring.from_map(n, 2, 2, mapping)
+
+
+def test_budget_error_on_the_depth_first_path_reports_its_count():
+    sc = parity_coloring(12)
+    for budget in (1, 2, 7, 20):
+        with pytest.raises(BudgetExceededError) as info:
+            find_homogeneous_set(sc, 6, budget=budget)
+        assert info.value.limit == budget
+        assert info.value.used == budget + 1
+
+
+def test_budget_threshold_then_same_answer():
+    rng = random.Random(11)
+    colorings = [parity_coloring(12)] + [random_subset_coloring(rng, 9, 2, 2) for _ in range(3)]
+    for sc in colorings:
+        s = 6 if sc.n == 12 else 4
+        answer = find_homogeneous_set(sc, s)
+        outcomes = []
+        for budget in range(1, 400):
+            try:
+                outcomes.append(find_homogeneous_set(sc, s, budget=budget))
+            except BudgetExceededError:
+                outcomes.append("exceeded")
+        threshold = outcomes.index(answer)
+        assert set(outcomes[:threshold]) == {"exceeded"}
+        assert all(outcome == answer for outcome in outcomes[threshold:])
+
+
 # -- exact micro Ramsey numbers ---------------------------------------------
 
 
