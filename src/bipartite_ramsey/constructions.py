@@ -23,7 +23,6 @@ from dataclasses import dataclass
 
 from .errors import ParameterError
 from .graphs import BipartiteGraph, InducedCopyWitness, MembershipEdgeSet, verify_witness
-from .subsets import k_subsets
 
 
 def complete_bipartite(n, k):
@@ -38,19 +37,20 @@ def complete_bipartite(n, k):
 def set_bipartite(n, k):
     """B_{n,k}: rights are the k-subsets of [n], edge (x, X) iff x in X.
 
-    Edges are exposed through a set-like view rather than materialized;
-    the construction stays cheap even when C(n,k) runs into the millions.
+    right_labels is a SubsetSequence and edges a MembershipEdgeSet: both
+    answer from subset ranks and store nothing, even for C(n,k) ~ 10^11.
     """
     if n < 1 or k < 1:
         raise ParameterError(f"set_bipartite needs n, k >= 1, got ({n}, {k})")
     if k > n:
         raise ParameterError(f"set_bipartite needs k <= n, got k={k} > n={n}")
-    # Trusted builder: the labels below are exactly what the view expects,
-    # so the per-label validation of the general constructor is skipped.
+    # Trusted builder: the labels are exactly what the view expects, so
+    # the per-label validation of the general constructor is skipped.
     graph = object.__new__(BipartiteGraph)
+    edges = MembershipEdgeSet(n, k)
     object.__setattr__(graph, "left_count", n)
-    object.__setattr__(graph, "right_labels", tuple(k_subsets(n, k)))
-    object.__setattr__(graph, "edges", MembershipEdgeSet(n, k))
+    object.__setattr__(graph, "right_labels", edges.rights)
+    object.__setattr__(graph, "edges", edges)
     return graph
 
 

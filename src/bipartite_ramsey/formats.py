@@ -37,9 +37,11 @@ Blank lines and lines starting with '#' are ignored everywhere.
 
 from math import comb
 
+from .constructions import complete_bipartite, set_bipartite
 from .errors import ValidationError
 from .graphs import Color, InducedCopyWitness, make_graph, pack_coloring
 from .hypergraph import SubsetColoring
+from .subsets import SubsetSequence
 
 
 def _content_lines(text):
@@ -113,8 +115,19 @@ def _parse_graph(lines):
         else:
             raise ValidationError(f"unrecognized graph line {line!r}")
     right_labels = tuple(labels[i] for i in range(1, right_count + 1))
+    if _is_set_graph(left_count, right_labels, edges):
+        return set_bipartite(left_count, len(right_labels[0]))
     resolved = ((left, right_labels[idx - 1]) for left, idx in edges)
     return make_graph(left_count, right_labels, resolved)
+
+
+def _is_set_graph(n, labels, edges):
+    """Whether parsed labels and (left, right index) edges are exactly B_{n,k}."""
+    k = len(labels[0]) if labels and isinstance(labels[0], tuple) else 0
+    return bool(k) and labels == SubsetSequence(n, k) and (
+        len(edges) == k * len(labels) == len(set(edges))
+        and all(left in labels[idx - 1] for left, idx in edges)
+    )
 
 
 # -- edge colorings ----------------------------------------------------
@@ -148,8 +161,6 @@ def coloring_from_text(text, graph):
 
 def infer_complete_host(text):
     """Reconstruct K_{n,k} from a total coloring file of a complete host."""
-    from .constructions import complete_bipartite
-
     n = k = 0
     for left, index, _ in _coloring_lines(text):
         n, k = max(n, left), max(k, index)
@@ -170,8 +181,6 @@ def set_coloring_from_text(text, k):
 
 
 def _set_host(lefts, k):
-    from .constructions import set_bipartite
-
     n = max(lefts, default=0)
     if n < k:
         raise ValidationError(f"coloring file too small for a set graph of arity {k}")

@@ -4,9 +4,10 @@ A bipartite graph has left vertices 1..left_count and an ordered list of
 right vertices.  Right vertices carry labels: either opaque integers
 (conventionally 1..right_count) or sorted tuples of integers for
 set-membership graphs, whose right vertices *are* k-subsets of the left
-ground set.  Edges are stored explicitly as (left, right_label) pairs, so
-non-edges are first-class: the induced-subgraph checks below depend on
-them as much as on the edges.
+ground set.  Labels are a tuple and edges a frozenset of (left, label)
+pairs, except in set_bipartite's B_{n,k}, which computes both from subset
+ranks on demand.  Non-edges are first-class: the induced-subgraph checks
+below depend on them as much as on the edges.
 
 An edge 2-coloring is packed: one bit mask per right vertex, in
 right_labels order.  Bit p of a right's mask is the color (RED = 0,
@@ -33,6 +34,7 @@ from itertools import combinations, permutations
 from typing import Optional
 
 from .errors import BudgetMeter, ValidationError
+from .subsets import SubsetSequence
 
 
 class Color(IntEnum):
@@ -80,41 +82,26 @@ class MembershipEdgeSet:
     storage needs: membership, length, iteration, equality.
     """
 
-    __slots__ = ("n", "k", "_len")
+    __slots__ = ("n", "k", "rights")
 
     def __init__(self, n, k):
-        from math import comb
-
-        self.n = n
-        self.k = k
-        self._len = k * comb(n, k)
+        self.n, self.k, self.rights = n, k, SubsetSequence(n, k)
 
     def __contains__(self, edge):
-        if type(edge) is not tuple or len(edge) != 2:
-            return False
-        x, label = edge
-        if type(label) is not tuple or len(label) != self.k or type(x) is not int:
-            return False
-        prev = 0
-        for v in label:
-            if type(v) is not int or v <= prev:
-                return False
-            prev = v
-        return prev <= self.n and x in label
+        x, label = edge if type(edge) is tuple and len(edge) == 2 else (None, None)
+        return type(x) is int and label in self.rights and x in label
 
     def __iter__(self):
-        for label in combinations(range(1, self.n + 1), self.k):
-            for x in label:
-                yield (x, label)
+        return ((x, label) for label in self.rights for x in label)
 
     def __len__(self):
-        return self._len
+        return self.k * len(self.rights)
 
     def __eq__(self, other):
         if isinstance(other, MembershipEdgeSet):
             return (self.n, self.k) == (other.n, other.k)
         if isinstance(other, (set, frozenset)):
-            return len(other) == self._len and all(e in self for e in other)
+            return len(other) == len(self) and all(e in self for e in other)
         return NotImplemented
 
     def __hash__(self):
@@ -128,9 +115,9 @@ class MembershipEdgeSet:
 class BipartiteGraph:
     """Left class 1..left_count, labeled right class, edges between them.
 
-    edges is a frozenset of (left, right_label) pairs, or a
-    MembershipEdgeSet view for full set-membership graphs built by
-    set_bipartite.
+    right_labels is a tuple and edges a frozenset of (left, right_label)
+    pairs, except in set_bipartite's B_{n,k}: a SubsetSequence and a
+    MembershipEdgeSet, which store nothing.
     """
 
     left_count: int
@@ -192,21 +179,17 @@ class BipartiteGraph:
         return {label: i for i, label in enumerate(self.right_labels, 1)}
 
     def has_right_label(self, label):
-        if isinstance(self.edges, MembershipEdgeSet):
-            return isinstance(label, tuple) and bool(label) and (label[0], label) in self.edges
+        if isinstance(self.right_labels, SubsetSequence):
+            return label in self.right_labels  # by rank
         return label in self._label_index
 
     def right_index(self, label):
         """1-based position of a right label in the stored order."""
-        if isinstance(self.edges, MembershipEdgeSet):
-            if not self.has_right_label(label):
-                raise ValidationError(f"unknown right label {label!r}")
-            from .subsets import subset_rank
-
-            return subset_rank(label, self.left_count) + 1
         try:
+            if isinstance(self.right_labels, SubsetSequence):
+                return self.right_labels.index(label) + 1
             return self._label_index[label]
-        except KeyError:
+        except (KeyError, ValueError):
             raise ValidationError(f"unknown right label {label!r}")
 
     def label_at(self, index):
@@ -239,7 +222,7 @@ class BipartiteGraph:
 
     def sorted_edges(self):
         """Edges ordered by (left, right position); the canonical order."""
-        labels = self.right_labels
+        labels = tuple(self.right_labels)  # one pass, not one unrank per edge
         return [(left, labels[index - 1]) for left, index, _ in self.indexed_edges()]
 
     def indexed_edges(self):
@@ -266,20 +249,11 @@ class BipartiteGraph:
         """
         if isinstance(self.edges, MembershipEdgeSet):
             return self.edges.k
-        from .subsets import k_subsets
-
-        if not self.right_labels:
+        labels = self.right_labels
+        k = len(labels[0]) if labels and isinstance(labels[0], tuple) else None
+        if k is None or labels != SubsetSequence(self.left_count, k):
             return None
-        first = self.right_labels[0]
-        if not isinstance(first, tuple):
-            return None
-        k = len(first)
-        n = self.left_count
-        if self.right_labels != tuple(k_subsets(n, k)):
-            return None
-        if any(self.neighbors(label) != label for label in self.right_labels):
-            return None
-        return k
+        return k if all(self.neighbors(label) == label for label in labels) else None
 
     def __repr__(self):
         return (
@@ -310,19 +284,21 @@ class EdgeColoring:
     the color of the edge to that right's p-th smallest neighbour (see
     the module docstring for the layout and the two storage types).
     constant_coloring, coloring_from_map and random_coloring build
-    colorings; the last two validate that every edge is colored once.
+    colorings; coloring_from_map validates that every edge is colored once.
     """
 
     graph: BipartiteGraph
     masks: object  # bytes, or a tuple of ints when some right has degree > 8
 
     def __post_init__(self):
-        graph, masks = self.graph, self.masks
-        if len(masks) != graph.right_count or (
-            masks and (min(masks) < 0 or max(masks) >> graph._max_degree)
-        ):
+        masks, degree = self.masks, self.graph._max_degree
+        if type(masks) is bytes:  # a C-speed range check, and no copy below
+            out_of_range = masks.translate(None, bytes(range(1 << min(degree, 8))))
+        else:
+            out_of_range = masks and (min(masks) < 0 or max(masks) >> degree)
+        if out_of_range or len(masks) != self.graph.right_count:
             raise ValidationError("a coloring needs one mask per right, within its degree")
-        object.__setattr__(self, "masks", (bytes if graph._max_degree <= 8 else tuple)(masks))
+        object.__setattr__(self, "masks", (bytes if degree <= 8 else tuple)(masks))
 
     def color_of(self, left, label):
         graph = self.graph
@@ -348,21 +324,23 @@ class EdgeColoring:
         return f"EdgeColoring(graph={self.graph!r}, edges={len(self.graph.edges)})"
 
 
-def pack_coloring(graph, colored_edges):
+def pack_coloring(graph, colored_edges, neighborhoods=None):
     """EdgeColoring from (left, 1-based right index, color) triples, one
-    per edge.
+    per edge.  neighborhoods lists each right's sorted neighbourhood in
+    right_labels order, if the caller has it already.
 
     Raises ValidationError for a pair that is not an edge, an edge
     colored twice, a value that is not a color, or an edge left out.
     """
-    labels, neighbors = graph.right_labels, graph.neighbors
-    masks = [0] * len(labels)
-    seen = [0] * len(labels)
+    if neighborhoods is None:  # one lookup per right, not per edge
+        neighborhoods = [graph.neighbors(label) for label in graph.right_labels]
+    masks = [0] * len(neighborhoods)
+    seen = [0] * len(neighborhoods)
     count = 0
     for left, index, color in colored_edges:
         r = index - 1
         try:
-            bit = 1 << _bit(neighbors(labels[r]), left) if r >= 0 else 0
+            bit = 1 << _bit(neighborhoods[r], left) if r >= 0 else 0
         except (IndexError, TypeError, ValueError):
             bit = 0  # no such right, or the left is not one of its neighbours
         if not bit:
@@ -389,7 +367,9 @@ def constant_coloring(graph, color):
 
 def coloring_from_map(graph, mapping):
     """EdgeColoring from an explicit edge -> color dict (validated total)."""
-    index = graph._label_index
+    index = {label: i for i, label in enumerate(graph.right_labels, 1)}
+    # A set-membership right is its own neighbourhood: reuse the key tuples.
+    neighborhoods = list(index) if isinstance(graph.edges, MembershipEdgeSet) else None
 
     def colored_edges():
         for edge, color in mapping.items():
@@ -397,15 +377,15 @@ def coloring_from_map(graph, mapping):
                 raise ValidationError(f"{edge!r} is not an edge of the graph")
             yield edge[0], index[edge[1]], color
 
-    return pack_coloring(graph, colored_edges())
+    return pack_coloring(graph, colored_edges(), neighborhoods)
 
 
 def random_coloring(graph, rng):
     """Independent fair RED/BLUE choice per edge, in canonical edge order."""
-    edges = graph.indexed_edges()
-    return pack_coloring(
-        graph, ((left, index, RED if rng.random() < 0.5 else BLUE) for left, index, _ in edges)
-    )
+    masks = [0] * graph.right_count
+    for _, index, p in graph.indexed_edges():
+        masks[index - 1] |= (rng.random() >= 0.5) << p  # BLUE is bit 1
+    return EdgeColoring(graph, masks)
 
 
 @dataclass(frozen=True)

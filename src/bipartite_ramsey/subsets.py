@@ -5,8 +5,10 @@ Subsets are sorted tuples of 1-based integers, ordered lexicographically:
 exposed to users (file formats, right-vertex indices) are rank + 1.
 """
 
+from collections.abc import Sequence
 from itertools import combinations
 from math import comb
+from operator import eq
 
 from .errors import ValidationError
 
@@ -59,3 +61,52 @@ def validate_subset(subset, n, k=None):
     if t and (t[0] < 1 or t[-1] > n):
         raise ValidationError(f"subset {t} not contained in [1,{n}]")
     return t
+
+
+class SubsetSequence(Sequence):
+    """tuple(k_subsets(n, k)) as a read-only sequence that stores none of
+    its items: item r is subset_unrank(r, n, k) and a member's index is
+    its subset_rank, so len, indexing, in and index cost O(n) whatever
+    C(n,k) is.  It compares equal to that tuple and prints as it."""
+
+    __slots__ = ("n", "k", "_len")
+
+    def __init__(self, n, k):
+        self.n, self.k, self._len = n, k, comb(n, k)
+
+    def __len__(self):
+        return self._len
+
+    def __getitem__(self, i):
+        r = range(self._len)[i]  # negative indices, slices and errors as a tuple's
+        if isinstance(r, range):
+            return tuple(subset_unrank(j, self.n, self.k) for j in r)
+        return subset_unrank(r, self.n, self.k)
+
+    def __iter__(self):
+        return k_subsets(self.n, self.k)
+
+    def __contains__(self, subset):
+        try:  # validate_subset raises unless subset is a sorted k-subset of [n]
+            return isinstance(subset, tuple) and validate_subset(subset, self.n, self.k) == subset
+        except ValidationError:
+            return False
+
+    def index(self, subset, start=0, stop=None):
+        r = subset_rank(subset, self.n) if subset in self else -1
+        if r not in range(self._len)[start:stop]:
+            raise ValueError(f"{subset!r} is not in the sequence")
+        return r
+
+    def __eq__(self, other):
+        if not isinstance(other, (tuple, SubsetSequence)):
+            return NotImplemented
+        if isinstance(other, SubsetSequence) and (self.n, self.k) == (other.n, other.k):
+            return True
+        return len(other) == self._len and all(map(eq, self, other))
+
+    def __hash__(self):
+        return hash(tuple(self))
+
+    def __repr__(self):
+        return repr(tuple(self))

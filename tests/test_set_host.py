@@ -1,0 +1,285 @@
+"""The lazy set-membership host B_{n,k} checked against explicit references.
+
+set_bipartite stores no labels and no edges: its right_labels is a
+SubsetSequence computed from subset ranks.  These tests hold that
+sequence to the semantics of the tuple it stands for, and every fast
+path over it (packing colorings, reading certificates) to the same
+operation on the explicit graph make_graph builds from the same data.
+"""
+
+import random
+from itertools import combinations
+from math import comb
+from pathlib import Path
+
+import pytest
+
+from bipartite_ramsey import (
+    BLUE,
+    RED,
+    EdgeColoring,
+    ValidationError,
+    coloring_from_map,
+    k_subsets,
+    make_graph,
+    random_coloring,
+    set_bipartite,
+)
+from bipartite_ramsey import formats
+from bipartite_ramsey.formats import (
+    certificate_from_text,
+    coloring_from_text,
+    graph_from_text,
+    graph_to_text,
+)
+from bipartite_ramsey.subsets import SubsetSequence
+
+GOLDEN_B93 = Path(__file__).parent / "golden" / "position_rule_b93.cert.txt"
+SIZES = [(n, k) for n in range(1, 9) for k in range(1, n + 1)]
+
+
+def non_members(n, k):
+    first = tuple(range(1, k + 1))
+    out = [
+        first + (n + 1,),  # one element too many
+        first[:-1],  # one too few (the empty tuple when k == 1)
+        (0,) + first[1:],  # below the ground set
+        first[:-1] + (n + 1,),  # above it
+        ("1",) + first[1:],  # not integers
+        (None,) * k,
+        1,  # a bare int
+        list(first),  # the right elements, not a tuple
+    ]
+    if k > 1:
+        out.append(first[::-1])  # unsorted
+        out.append((1,) * k)  # repeated element
+    return out
+
+
+@pytest.mark.parametrize("n, k", SIZES)
+def test_sequence_matches_the_tuple(n, k):
+    seq, ref = SubsetSequence(n, k), tuple(combinations(range(1, n + 1), k))
+    assert len(seq) == len(ref) == comb(n, k)
+    assert tuple(iter(seq)) == ref
+    for i in range(-len(ref), len(ref)):
+        assert seq[i] == ref[i]
+    for i in (len(ref), -len(ref) - 1):
+        with pytest.raises(IndexError):
+            seq[i]
+    with pytest.raises(TypeError):
+        seq["1"]
+    for s in (slice(None), slice(1, None), slice(None, None, 2), slice(None, None, -1),
+              slice(-3, None), slice(2, 5), slice(5, 2), slice(-100, 100, 3)):
+        assert seq[s] == ref[s]
+    for r, member in enumerate(ref):
+        assert member in seq
+        assert seq.index(member) == ref.index(member) == r
+        assert seq.index(member, r, r + 1) == r
+        assert seq.count(member) == 1
+        with pytest.raises(ValueError):
+            seq.index(member, r + 1)
+    for other in non_members(n, k):
+        assert (other in seq) == (other in ref) == False  # noqa: E712
+        assert seq.count(other) == ref.count(other) == 0
+        with pytest.raises(ValueError):
+            seq.index(other)
+    assert seq == ref and ref == seq and not seq != ref and not ref != seq
+    assert seq != ref[:-1] and ref[:-1] != seq
+    assert seq != list(ref) and list(ref) != seq
+    assert seq == SubsetSequence(n, k) and seq != SubsetSequence(n + 1, k)
+    assert repr(seq) == repr(ref) and hash(seq) == hash(ref)
+
+
+def test_huge_host_builds_without_materializing():
+    host = set_bipartite(40, 20)  # C(40, 20) is about 1.4 * 10**11 rights
+    assert len(host.right_labels) == comb(40, 20)
+    assert host.label_at(comb(40, 20)) == tuple(range(21, 41))
+    assert host.right_index(tuple(range(21, 41))) == comb(40, 20)
+    assert host.membership_arity == 20
+
+
+# -- colorings on the lazy host vs the explicit one ---------------------------
+
+PARITY_SIZES = [(4, 3), (6, 3), (9, 3), (5, 5), (7, 5), (9, 5)]
+
+
+def explicit_host(n, k):
+    labels = tuple(k_subsets(n, k))
+    return make_graph(n, labels, ((x, X) for X in labels for x in X))
+
+
+def edge_orders(n, k, rng):
+    """The edges (x, X) of B_{n,k} right-major, left-major and shuffled."""
+    right_major = [(x, X) for X in k_subsets(n, k) for x in X]
+    left_major = sorted(right_major)
+    shuffled = right_major[:]
+    rng.shuffle(shuffled)
+    return {"right-major": right_major, "left-major": left_major, "shuffled": shuffled}
+
+
+@pytest.mark.parametrize("n, k", PARITY_SIZES)
+def test_packers_agree_on_lazy_and_explicit_hosts(n, k):
+    lazy, explicit = set_bipartite(n, k), explicit_host(n, k)
+    assert lazy == explicit and explicit == lazy
+    index = {X: i for i, X in enumerate(k_subsets(n, k), 1)}
+    rng = random.Random(1000 * n + k)
+    for _ in range(3):
+        colors = {(x, X): rng.choice((RED, BLUE)) for X in index for x in X}
+        expected = bytes(
+            sum(colors[(x, X)] << p for p, x in enumerate(X)) for X in k_subsets(n, k)
+        )
+        for order, edges in edge_orders(n, k, rng).items():
+            mapping = {edge: colors[edge] for edge in edges}
+            text = "".join(f"c {x} {index[X]} {colors[(x, X)].letter}\n" for x, X in edges)
+            assert coloring_from_map(lazy, mapping).masks == expected, order
+            assert coloring_from_map(explicit, mapping).masks == expected, order
+            assert coloring_from_text(text, lazy).masks == expected, order
+            assert coloring_from_text(text, explicit).masks == expected, order
+
+
+@pytest.mark.parametrize("n, k", PARITY_SIZES)
+def test_random_coloring_draws_are_unchanged(n, k):
+    lazy, explicit = set_bipartite(n, k), explicit_host(n, k)
+    for seed in range(3):
+        rng = random.Random(seed)
+        # The old packer: one draw per edge in canonical edge order.
+        reference = {e: RED if rng.random() < 0.5 else BLUE for e in explicit.sorted_edges()}
+        expected = coloring_from_map(explicit, reference).masks
+        assert random_coloring(lazy, random.Random(seed)).masks == expected
+        assert random_coloring(explicit, random.Random(seed)).masks == expected
+
+
+@pytest.mark.parametrize("n, k", PARITY_SIZES)
+def test_both_hosts_reject_the_same_bad_colorings(n, k):
+    lazy, explicit = set_bipartite(n, k), explicit_host(n, k)
+    edges = [(x, X) for X in k_subsets(n, k) for x in X]
+    index = {X: i for i, X in enumerate(k_subsets(n, k), 1)}
+    mapping = {edge: RED for edge in edges}
+    lines = [f"c {x} {index[X]} R" for x, X in edges]
+    outsider = next((x for x in range(1, n + 1) if x not in edges[0][1]), n + 1)
+    bad_maps = [
+        dict(list(mapping.items())[1:]),  # missing edge
+        {**mapping, (outsider, edges[0][1]): RED},  # non-edge
+        {**mapping, (1, (0,) * k): RED},  # unknown right
+        {**mapping, edges[0]: 2},  # not a color
+    ]
+    bad_texts = [
+        lines[1:],  # missing
+        lines + lines[:1],  # duplicate
+        lines[1:] + [f"c {outsider} 1 R"],  # non-edge in place of an edge
+        lines[1:] + [f"c 1 {len(index) + 1} R"],  # right index out of range
+        lines[1:] + ["c 1 0 R"],
+    ]
+    messages = []
+    for host in (lazy, explicit):
+        for bad in bad_maps:
+            with pytest.raises(ValidationError) as exc:
+                coloring_from_map(host, bad)
+            messages.append(str(exc.value))
+        for bad in bad_texts:
+            with pytest.raises(ValidationError) as exc:
+                coloring_from_text("\n".join(bad), host)
+            messages.append(str(exc.value))
+    half = len(messages) // 2
+    assert messages[:half] == messages[half:]  # the same error on either host
+
+
+# -- the certificate fast path vs the generic parse --------------------------
+
+
+def parse_both(text, monkeypatch):
+    """(fast path result or error, generic path result or error)."""
+    results = []
+    for generic in (False, True):
+        with monkeypatch.context() as m:
+            if generic:
+                m.setattr(formats, "_is_set_graph", lambda *args: False)
+            try:
+                results.append(graph_from_text(text))
+            except ValidationError as exc:
+                results.append(str(exc))
+    return results
+
+
+@pytest.mark.parametrize("n, k", [(5, 2), (7, 3), (8, 5)])
+def test_set_graph_text_takes_the_fast_path(n, k, monkeypatch):
+    fast, generic = parse_both(graph_to_text(set_bipartite(n, k)), monkeypatch)
+    assert isinstance(fast.right_labels, SubsetSequence)
+    assert isinstance(generic.right_labels, tuple)
+    assert fast == generic and generic == fast == set_bipartite(n, k)
+
+
+def near_misses(n, k):
+    lines = graph_to_text(set_bipartite(n, k)).splitlines()
+    rlabels = [i for i, line in enumerate(lines) if line.startswith("rlabel")]
+    es = [i for i, line in enumerate(lines) if line.startswith("e ")]
+    right_count = comb(n, k)
+    swapped = lines[:]
+    a, b = rlabels[0], rlabels[1]
+    swapped[a] = f"rlabel 1 {lines[b].split()[2]}"
+    swapped[b] = f"rlabel 2 {lines[a].split()[2]}"
+    outside = lines[:]
+    outside[es[0]] = f"e {n + 1} {lines[es[0]].split()[2]}"
+    extra = [f"bipartite {n} {right_count + 1}"] + lines[1:]
+    reordered = swapped[:]  # the first two rights trade places, edges and all
+    trade = {"1": "2", "2": "1"}
+    for i in es:
+        _, left, idx = lines[i].split()
+        reordered[i] = f"e {left} {trade.get(idx, idx)}"
+    return {
+        "swapped rlabel": swapped,
+        "rights in another order": reordered,
+        "extra left vertex": [f"bipartite {n + 1} {right_count}"] + lines[1:],
+        "dropped e line": lines[: es[3]] + lines[es[3] + 1 :],
+        "duplicated e line": lines + [lines[es[-1]]],
+        "e line replaced by a copy of another": lines[:-1] + [lines[es[0]]],
+        "extra right": extra,
+        "extra right with a repeated label": extra + [f"rlabel {right_count + 1} {lines[a].split()[2]}"],
+        "extra right with a new label and edge": extra
+        + [f"rlabel {right_count + 1} {','.join(map(str, range(1, k + 2)))}", f"e 1 {right_count + 1}"],
+        "edge outside the ground set": outside,
+        "e line to a non-member": lines[:-1] + [f"e 1 {right_count}"],
+    }
+
+
+@pytest.mark.parametrize("n, k", [(5, 2), (7, 3)])
+def test_near_misses_fall_back_to_the_generic_parse(n, k, monkeypatch):
+    host = set_bipartite(n, k)
+    for name, lines in near_misses(n, k).items():
+        fast, generic = parse_both("\n".join(lines), monkeypatch)
+        if isinstance(generic, str):
+            assert fast == generic, name  # the same ValidationError message
+            continue
+        assert not isinstance(fast.right_labels, SubsetSequence), name
+        assert fast == generic, name
+        assert (fast == host) == (name == "duplicated e line"), name
+
+
+def test_golden_certificate_reads_the_same_either_way(monkeypatch):
+    text = GOLDEN_B93.read_text(encoding="utf-8")
+    fast = certificate_from_text(text)
+    monkeypatch.setattr(formats, "_is_set_graph", lambda *args: False)
+    generic = certificate_from_text(text)
+    assert isinstance(fast[0].right_labels, SubsetSequence)
+    assert fast[0] == generic[0]
+    assert fast[1].masks == generic[1].masks
+    assert fast[2] == generic[2]
+
+
+def test_mask_range_check():
+    host = set_bipartite(5, 3)  # ten rights of degree 3
+    masks = bytes([7] * 10)
+    assert EdgeColoring(host, masks).masks is masks  # bytes are not copied
+    assert EdgeColoring(host, [7] * 10).masks == masks
+    for bad in (bytes([8]) + bytes(9), [8] + [0] * 9, [-1] + [0] * 9, [256] + [0] * 9,
+                bytes(9), bytes(11), [0] * 11):
+        with pytest.raises(ValidationError):
+            EdgeColoring(host, bad)
+    full = set_bipartite(8, 8)  # one right of degree 8: every byte is in range
+    assert EdgeColoring(full, bytes([255])).masks == bytes([255])
+    wide = make_graph(9, (1,), {(x, 1) for x in range(1, 10)})  # degree 9: tuple storage
+    assert EdgeColoring(wide, bytes([255])).masks == (255,)
+    assert EdgeColoring(wide, [511]).masks == (511,)
+    for bad in ([512], [-1], bytes(2)):
+        with pytest.raises(ValidationError):
+            EdgeColoring(wide, bad)
