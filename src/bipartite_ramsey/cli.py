@@ -53,10 +53,6 @@ def _emit_certificate(args, host, witness, coloring=None):
         formats.save_text(args.dot, export_dot(host, coloring, witness))
 
 
-def _load_coloring_with_set_host(path, b):
-    return formats.set_coloring_from_text(formats.load_text(path), 2 * b - 1)
-
-
 def cmd_build(args):
     if args.kind == "complete":
         graph = complete_bipartite(args.n, args.k)
@@ -85,7 +81,7 @@ def cmd_extract_complete(args):
 
 
 def cmd_derive_coloring(args):
-    coloring = _load_coloring_with_set_host(args.coloring, args.b)
+    coloring = formats.set_coloring_from_text(formats.load_text(args.coloring), 2 * args.b - 1)
     derived = derive_coloring(coloring, args.b)
     _emit(formats.subset_coloring_to_text(derived), args.output)
     return EXIT_FOUND
@@ -102,7 +98,7 @@ def cmd_find_homogeneous(args):
 
 
 def cmd_extract_induced(args):
-    coloring = _load_coloring_with_set_host(args.coloring, args.b)
+    coloring = formats.set_coloring_from_text(formats.load_text(args.coloring), 2 * args.b - 1)
     members, value = formats.homogeneous_from_text(formats.load_text(args.homogeneous))
     if value is None:
         if len(members) < 2 * args.b - 1:
@@ -119,7 +115,7 @@ def cmd_extract_induced(args):
 def cmd_find_induced(args):
     pattern = formats.graph_from_text(formats.load_text(args.pattern))
     b = pattern.left_count + 1
-    coloring = _load_coloring_with_set_host(args.coloring, b)
+    coloring = formats.set_coloring_from_text(formats.load_text(args.coloring), 2 * b - 1)
     witness = find_induced_mono_pattern(pattern, coloring, budget=_budget())
     if witness is None:
         print("no homogeneous set; no witness at this ground-set size", file=sys.stderr)

@@ -22,36 +22,30 @@ is induced.  No attempt is made to minimize a or b.
 from dataclasses import dataclass
 
 from .errors import ParameterError
-from .graphs import BipartiteGraph, InducedCopyWitness, MembershipEdgeSet, verify_witness
+from .graphs import BipartiteGraph, InducedCopyWitness, verify_witness
+from .subsets import SubsetSequence
 
 
 def complete_bipartite(n, k):
     """K_{n,k}: every (left, right) pair is an edge; rights labeled 1..k."""
     if n < 1 or k < 1:
         raise ParameterError(f"complete_bipartite needs n, k >= 1, got ({n}, {k})")
-    labels = tuple(range(1, k + 1))
-    edges = frozenset((x, y) for x in range(1, n + 1) for y in labels)
-    return BipartiteGraph(n, labels, edges)
+    return BipartiteGraph(n, tuple(range(1, k + 1)), (tuple(range(1, n + 1)),) * k)
 
 
 def set_bipartite(n, k):
     """B_{n,k}: rights are the k-subsets of [n], edge (x, X) iff x in X.
 
-    right_labels is a SubsetSequence and edges a MembershipEdgeSet: both
-    answer from subset ranks and store nothing, even for C(n,k) ~ 10^11.
+    A right is its own neighbourhood, so one SubsetSequence serves as both
+    right_labels and neighborhoods.  It answers from subset ranks and
+    stores nothing, even for C(n,k) ~ 10^11.
     """
     if n < 1 or k < 1:
         raise ParameterError(f"set_bipartite needs n, k >= 1, got ({n}, {k})")
     if k > n:
         raise ParameterError(f"set_bipartite needs k <= n, got k={k} > n={n}")
-    # Trusted builder: the labels are exactly what the view expects, so
-    # the per-label validation of the general constructor is skipped.
-    graph = object.__new__(BipartiteGraph)
-    edges = MembershipEdgeSet(n, k)
-    object.__setattr__(graph, "left_count", n)
-    object.__setattr__(graph, "right_labels", edges.rights)
-    object.__setattr__(graph, "edges", edges)
-    return graph
+    subsets = SubsetSequence(n, k)
+    return BipartiteGraph(n, subsets, subsets)
 
 
 @dataclass(frozen=True)
@@ -83,8 +77,7 @@ def embed_into_set_bipartite(pattern):
     b = c + 1
 
     right_map = {}
-    for j, label in enumerate(pattern.right_labels, 1):
-        neighbors = pattern.neighbors(label)
+    for j, neighbors in enumerate(pattern.neighborhoods, 1):
         fillers = range(c + 1, c + (b - len(neighbors) - 1) + 1)
         image = tuple(sorted([*neighbors, 2 * c + j, *fillers]))
         right_map[j] = image

@@ -39,9 +39,9 @@ from math import comb
 
 from .constructions import complete_bipartite, set_bipartite
 from .errors import ValidationError
-from .graphs import Color, InducedCopyWitness, make_graph, pack_coloring
+from .graphs import BipartiteGraph, Color, InducedCopyWitness, pack_coloring, set_graph_arity
 from .hypergraph import SubsetColoring
-from .subsets import SubsetSequence
+from .subsets import subset_rank, validate_subset
 
 
 def _content_lines(text):
@@ -98,36 +98,28 @@ def _parse_graph(lines):
     left_count, right_count = _int(header[1], "left count"), _int(header[2], "right count")
     if left_count < 0 or right_count < 0:
         raise ValidationError(f"bad graph header {lines[0]!r}: negative vertex count")
-    labels = {i: i for i in range(1, right_count + 1)}
-    edges = []
+    labels = list(range(1, right_count + 1))
+    neighborhoods = [[] for _ in labels]  # lefts per right, as read
     for line in lines[1:]:
         parts = line.split()
         if parts[0] == "rlabel" and len(parts) == 3:
             idx = _int(parts[1], "rlabel index")
             if not 1 <= idx <= right_count:
                 raise ValidationError(f"rlabel index {idx} out of range")
-            labels[idx] = _parse_subset(parts[2])
+            labels[idx - 1] = _parse_subset(parts[2])
         elif parts[0] == "e" and len(parts) == 3:
             left, idx = _int(parts[1], "left"), _int(parts[2], "right index")
             if not 1 <= idx <= right_count:
                 raise ValidationError(f"edge right index {idx} out of range")
-            edges.append((left, idx))
+            neighborhoods[idx - 1].append(left)
         else:
             raise ValidationError(f"unrecognized graph line {line!r}")
-    right_labels = tuple(labels[i] for i in range(1, right_count + 1))
-    if _is_set_graph(left_count, right_labels, edges):
-        return set_bipartite(left_count, len(right_labels[0]))
-    resolved = ((left, right_labels[idx - 1]) for left, idx in edges)
-    return make_graph(left_count, right_labels, resolved)
-
-
-def _is_set_graph(n, labels, edges):
-    """Whether parsed labels and (left, right index) edges are exactly B_{n,k}."""
-    k = len(labels[0]) if labels and isinstance(labels[0], tuple) else 0
-    return bool(k) and labels == SubsetSequence(n, k) and (
-        len(edges) == k * len(labels) == len(set(edges))
-        and all(left in labels[idx - 1] for left, idx in edges)
-    )
+    labels = tuple(labels)
+    neighborhoods = tuple(tuple(sorted(set(lefts))) for lefts in neighborhoods)  # drop repeats
+    k = set_graph_arity(left_count, labels, neighborhoods)
+    if k:  # text that is exactly B_{n,k} reads as the lazy host
+        return set_bipartite(left_count, k)
+    return BipartiteGraph(left_count, labels, neighborhoods)
 
 
 # -- edge colorings ----------------------------------------------------
@@ -141,10 +133,10 @@ def coloring_to_text(coloring):
 _COLOR_OF_LETTER = {color.letter: color for color in Color}
 
 
-def _coloring_lines(text):
-    """(left, right index, color) per line of an edge-coloring file."""
+def _coloring_lines(lines):
+    """(left, right index, color) per content line of an edge coloring."""
     # Fields are converted inline, not through _int: files run to 10^5+ lines.
-    for line in _content_lines(text):
+    for line in lines:
         parts = line.split()
         if len(parts) != 4 or parts[0] != "c":
             raise ValidationError(f"unrecognized coloring line {line!r}")
@@ -156,13 +148,13 @@ def _coloring_lines(text):
 
 
 def coloring_from_text(text, graph):
-    return pack_coloring(graph, _coloring_lines(text))  # validates totality
+    return pack_coloring(graph, _coloring_lines(_content_lines(text)))  # validates totality
 
 
 def infer_complete_host(text):
     """Reconstruct K_{n,k} from a total coloring file of a complete host."""
     n = k = 0
-    for left, index, _ in _coloring_lines(text):
+    for left, index, _ in _coloring_lines(_content_lines(text)):
         n, k = max(n, left), max(k, index)
     if n < 1 or k < 1:
         raise ValidationError("coloring file contains no coloring lines")
@@ -171,12 +163,12 @@ def infer_complete_host(text):
 
 def infer_set_host(text, k):
     """Reconstruct B_{n,k} from a total coloring file of a set-membership host."""
-    return _set_host([left for left, _, _ in _coloring_lines(text)], k)
+    return _set_host([left for left, _, _ in _coloring_lines(_content_lines(text))], k)
 
 
 def set_coloring_from_text(text, k):
     """The coloring of B_{n,k} in a total coloring file, parsed in one pass."""
-    colored = list(_coloring_lines(text))
+    colored = list(_coloring_lines(_content_lines(text)))
     return pack_coloring(_set_host([left for left, _, _ in colored], k), colored)
 
 
@@ -210,16 +202,19 @@ def subset_coloring_from_text(text):
     if len(header) != 4:
         raise ValidationError(f"bad subset-coloring header {lines[0]!r}")
     n, arity, palette = (_int(x, "subset-coloring header field") for x in header[1:])
-    mapping = {}
+    values = [None] * comb(n, arity)  # indexed by subset rank
     for line in lines[1:]:
         parts = line.split()
         if len(parts) != 3 or parts[0] != "sc":
             raise ValidationError(f"unrecognized subset-coloring line {line!r}")
-        subset = _parse_subset(parts[1])
-        if subset in mapping:
+        subset = validate_subset(_parse_subset(parts[1]), n, arity)
+        r = subset_rank(subset, n)
+        if values[r] is not None:
             raise ValidationError(f"duplicate subset {subset}")
-        mapping[subset] = _int(parts[2], "subset value")
-    return SubsetColoring.from_map(n, arity, palette, mapping)
+        values[r] = _int(parts[2], "subset value")
+    if None in values:
+        raise ValidationError("mapping does not cover every subset")
+    return SubsetColoring(n, arity, palette, values)
 
 
 # -- homogeneous sets ----------------------------------------------------
@@ -297,7 +292,7 @@ def certificate_from_text(text):
     pattern = _parse_graph(sections["pattern"])
     coloring = None
     if "coloring" in sections:
-        coloring = coloring_from_text("\n".join(sections["coloring"]), host)
+        coloring = pack_coloring(host, _coloring_lines(sections["coloring"]))
 
     lefts = {}
     rights = {}

@@ -4,9 +4,10 @@ A bipartite graph has left vertices 1..left_count and an ordered list of
 right vertices.  Right vertices carry labels: either opaque integers
 (conventionally 1..right_count) or sorted tuples of integers for
 set-membership graphs, whose right vertices *are* k-subsets of the left
-ground set.  Labels are a tuple and edges a frozenset of (left, label)
-pairs, except in set_bipartite's B_{n,k}, which computes both from subset
-ranks on demand.  Non-edges are first-class: the induced-subgraph checks
+ground set.  Every graph stores its labels and, in the same order, each
+right's sorted tuple of neighbours; edges is a view of those.  In
+set_bipartite's B_{n,k} one SubsetSequence, computed from subset ranks on
+demand, is both.  Non-edges are first-class: the induced-subgraph checks
 below depend on them as much as on the edges.
 
 An edge 2-coloring is packed: one bit mask per right vertex, in
@@ -27,10 +28,12 @@ trusted by the rest of the package as ground truth at desk scale.
 """
 
 from bisect import bisect_left
+from collections.abc import Set
 from dataclasses import dataclass
 from enum import IntEnum
 from functools import cached_property
 from itertools import combinations, permutations
+from operator import ge
 from typing import Optional
 
 from .errors import BudgetMeter, ValidationError
@@ -73,78 +76,69 @@ def _normalize_label(label):
     raise ValidationError(f"right label must be an int or an int tuple, got {label!r}")
 
 
-class MembershipEdgeSet:
-    """Set-like view of the edges of a full set-membership graph.
+class EdgeView(Set):
+    """The (left, right label) edges of a graph as a read-only set, read
+    from its neighbourhoods: membership, length, iteration and equality
+    with any set, but no storage of its own."""
 
-    Behaves like the frozenset of all pairs (x, X) with X a k-subset of
-    [n] and x in X, but holds nothing: B_{35,7} has 47 million edges,
-    which never fit in memory as tuples.  Supports exactly what edge
-    storage needs: membership, length, iteration, equality.
-    """
+    _from_iterable = frozenset  # set operations return plain frozensets
 
-    __slots__ = ("n", "k", "rights")
-
-    def __init__(self, n, k):
-        self.n, self.k, self.rights = n, k, SubsetSequence(n, k)
+    def __init__(self, graph):
+        self.graph = graph
 
     def __contains__(self, edge):
-        x, label = edge if type(edge) is tuple and len(edge) == 2 else (None, None)
-        return type(x) is int and label in self.rights and x in label
+        return type(edge) is tuple and len(edge) == 2 and self.graph.has_edge(*edge)
 
     def __iter__(self):
-        return ((x, label) for label in self.rights for x in label)
+        graph = self.graph
+        for label, lefts in zip(graph.right_labels, graph.neighborhoods):
+            for left in lefts:
+                yield left, label
 
     def __len__(self):
-        return self.k * len(self.rights)
-
-    def __eq__(self, other):
-        if isinstance(other, MembershipEdgeSet):
-            return (self.n, self.k) == (other.n, other.k)
-        if isinstance(other, (set, frozenset)):
-            return len(other) == len(self) and all(e in self for e in other)
-        return NotImplemented
-
-    def __hash__(self):
-        return hash(("membership-edges", self.n, self.k))
-
-    def __repr__(self):
-        return f"MembershipEdgeSet(n={self.n}, k={self.k})"
+        return self.graph.edge_count
 
 
 @dataclass(frozen=True, eq=False)
 class BipartiteGraph:
-    """Left class 1..left_count, labeled right class, edges between them.
+    """Left class 1..left_count, labeled right class, and each right's
+    neighbourhood: neighborhoods[r] is the sorted tuple of the lefts
+    adjacent to right_labels[r].  The edges property is a view of them.
 
-    right_labels is a tuple and edges a frozenset of (left, right_label)
-    pairs, except in set_bipartite's B_{n,k}: a SubsetSequence and a
-    MembershipEdgeSet, which store nothing.
+    In set_bipartite's B_{n,k} both fields are one SubsetSequence, since a
+    set-membership right is its own neighbourhood; it stores nothing.
     """
 
     left_count: int
     right_labels: tuple
-    edges: object
+    neighborhoods: tuple
 
     def __post_init__(self):
-        if self.left_count < 0:
-            raise ValidationError(f"left_count must be >= 0, got {self.left_count}")
-        labels = tuple(_normalize_label(l) for l in self.right_labels)
+        n, labels, neighborhoods = self.left_count, self.right_labels, self.neighborhoods
+        if n < 0:
+            raise ValidationError(f"left_count must be >= 0, got {n}")
+        if type(labels) is SubsetSequence and neighborhoods is labels and labels.n <= n:
+            # B_{n,k}: valid by construction, every right of degree k, and
+            # rights found by rank rather than through a dict.
+            k = labels.k
+            self.__dict__.update(_max_degree=k, edge_count=k * len(labels), _find=labels.index)
+            return
+        labels = tuple(map(_normalize_label, labels))
         if len(set(labels)) != len(labels):
             raise ValidationError("right labels must be pairwise distinct")
+        neighborhoods = tuple(map(tuple, neighborhoods))
+        if len(neighborhoods) != len(labels):
+            raise ValidationError(f"{len(neighborhoods)} neighbourhoods for {len(labels)} rights")
+        lefts = range(1, n + 1)
+        for label, adjacent in zip(labels, neighborhoods):
+            if not all(isinstance(x, int) and x in lefts for x in adjacent) or any(
+                map(ge, adjacent, adjacent[1:])
+            ):
+                raise ValidationError(
+                    f"right {label!r} needs increasing neighbours in 1..{n}, got {adjacent}"
+                )
         object.__setattr__(self, "right_labels", labels)
-        label_set = set(labels)
-        edges = set()
-        for e in self.edges:
-            try:
-                left, label = e
-            except (TypeError, ValueError):
-                raise ValidationError(f"edge must be a (left, right_label) pair: {e!r}")
-            label = _normalize_label(label)
-            if not (isinstance(left, int) and 1 <= left <= self.left_count):
-                raise ValidationError(f"edge {e!r} references unknown left vertex")
-            if label not in label_set:
-                raise ValidationError(f"edge {e!r} references unknown right label")
-            edges.add((left, label))
-        object.__setattr__(self, "edges", frozenset(edges))
+        object.__setattr__(self, "neighborhoods", neighborhoods)
 
     def __eq__(self, other):
         if not isinstance(other, BipartiteGraph):
@@ -152,12 +146,12 @@ class BipartiteGraph:
         return (
             self.left_count == other.left_count
             and self.right_labels == other.right_labels
-            and self.edges == other.edges
+            and self.neighborhoods == other.neighborhoods
         )
 
     def __hash__(self):
         # Cheap but consistent with __eq__; avoids hashing huge edge sets.
-        return hash((self.left_count, len(self.right_labels), len(self.edges)))
+        return hash((self.left_count, len(self.right_labels), self.edge_count))
 
     # -- basic queries ------------------------------------------------
 
@@ -165,32 +159,39 @@ class BipartiteGraph:
     def right_count(self):
         return len(self.right_labels)
 
-    @property
+    @cached_property
     def edge_count(self):
-        return len(self.edges)
+        return sum(map(len, self.neighborhoods))
+
+    @property
+    def edges(self):
+        return EdgeView(self)
 
     @property
     def lefts(self):
         return range(1, self.left_count + 1)
 
     @cached_property
-    def _label_index(self):
-        # label -> 1-based position in right_labels
-        return {label: i for i, label in enumerate(self.right_labels, 1)}
+    def _find(self):
+        # label -> 0-based position in right_labels; KeyError when absent
+        return {label: r for r, label in enumerate(self.right_labels)}.__getitem__
+
+    def _position(self, label):
+        """0-based position of a right label; None if unknown or unhashable."""
+        try:
+            return self._find(label)
+        except (KeyError, TypeError, ValueError):
+            return None
 
     def has_right_label(self, label):
-        if isinstance(self.right_labels, SubsetSequence):
-            return label in self.right_labels  # by rank
-        return label in self._label_index
+        return self._position(label) is not None
 
     def right_index(self, label):
         """1-based position of a right label in the stored order."""
-        try:
-            if isinstance(self.right_labels, SubsetSequence):
-                return self.right_labels.index(label) + 1
-            return self._label_index[label]
-        except (KeyError, ValueError):
+        r = self._position(label)
+        if r is None:
             raise ValidationError(f"unknown right label {label!r}")
+        return r + 1
 
     def label_at(self, index):
         """Right label at a 1-based position."""
@@ -199,26 +200,16 @@ class BipartiteGraph:
         return self.right_labels[index - 1]
 
     def has_edge(self, left, label):
-        return (left, label) in self.edges
+        r = self._position(label)
+        return r is not None and left in self.neighborhoods[r]
 
     def neighbors(self, label):
         """Sorted tuple of the lefts adjacent to a right label."""
-        if isinstance(self.edges, MembershipEdgeSet):
-            return label  # a set-membership right is its own neighbourhood
-        return self._neighbor_table[label]
-
-    @cached_property
-    def _neighbor_table(self):
-        table = {label: [] for label in self.right_labels}
-        for left, label in self.edges:
-            table[label].append(left)
-        return {label: tuple(sorted(lefts)) for label, lefts in table.items()}
+        return self.neighborhoods[self.right_index(label) - 1]
 
     @cached_property
     def _max_degree(self):
-        if isinstance(self.edges, MembershipEdgeSet):
-            return self.edges.k
-        return max(map(len, self._neighbor_table.values()), default=0)
+        return max(map(len, self.neighborhoods), default=0)
 
     def sorted_edges(self):
         """Edges ordered by (left, right position); the canonical order."""
@@ -230,8 +221,8 @@ class BipartiteGraph:
         where left is the right's p-th smallest neighbour (from 0).  Edges
         are bucketed by left from the neighbour lists, not sorted."""
         rows = [[] for _ in range(self.left_count + 1)]
-        for index, label in enumerate(self.right_labels, 1):
-            for p, left in enumerate(self.neighbors(label)):
+        for index, lefts in enumerate(self.neighborhoods, 1):
+            for p, left in enumerate(lefts):
                 rows[left].append((index, p))
         for left, row in enumerate(rows):
             for index, p in row:
@@ -242,18 +233,8 @@ class BipartiteGraph:
 
     @cached_property
     def membership_arity(self):
-        """k if this graph is exactly the set-membership graph B_{n,k}, else None.
-
-        B_{n,k} has lefts [n], one right vertex per k-subset of [n] in
-        lexicographic order, and an edge (x, X) exactly when x is in X.
-        """
-        if isinstance(self.edges, MembershipEdgeSet):
-            return self.edges.k
-        labels = self.right_labels
-        k = len(labels[0]) if labels and isinstance(labels[0], tuple) else None
-        if k is None or labels != SubsetSequence(self.left_count, k):
-            return None
-        return k if all(self.neighbors(label) == label for label in labels) else None
+        """k if this graph is exactly the set-membership graph B_{n,k}, else None."""
+        return set_graph_arity(self.left_count, self.right_labels, self.neighborhoods)
 
     def __repr__(self):
         return (
@@ -262,9 +243,32 @@ class BipartiteGraph:
         )
 
 
+def set_graph_arity(left_count, labels, neighborhoods):
+    """k when the tuples of right labels and neighbourhoods are B_{left_count,k}'s
+    (its k-subsets in lexicographic order, each its own neighbourhood), else
+    None.  Equality with the subsets proves the input valid unchecked."""
+    k = len(neighborhoods[0]) if neighborhoods else 0
+    subsets = SubsetSequence(left_count, k)
+    return k if k and labels == subsets == neighborhoods else None
+
+
 def make_graph(left_count, right_labels, edges):
-    """Build a BipartiteGraph from plain iterables."""
-    return BipartiteGraph(left_count, tuple(right_labels), frozenset(edges))
+    """Build a BipartiteGraph from right labels and (left, label) edges.
+    Each label is normalized once, as a right; an edge names its right by
+    the normalized label or, for a subset, by a list of its elements."""
+    labels = tuple(map(_normalize_label, right_labels))
+    position = {label: r for r, label in enumerate(labels)}
+    neighborhoods = [set() for _ in labels]
+    for e in edges:
+        try:
+            left, label = e
+            r = position[tuple(label) if type(label) is list else label]
+        except (KeyError, TypeError, ValueError):
+            raise ValidationError(f"edge {e!r} is not a (left, right label) pair of the graph")
+        if not (isinstance(left, int) and 1 <= left <= left_count):
+            raise ValidationError(f"edge {e!r} references unknown left vertex")
+        neighborhoods[r].add(left)
+    return BipartiteGraph(left_count, labels, [tuple(sorted(lefts)) for lefts in neighborhoods])
 
 
 def _bit(neighbors, left):
@@ -303,8 +307,8 @@ class EdgeColoring:
     def color_of(self, left, label):
         graph = self.graph
         try:
-            mask = self.masks[graph.right_index(label) - 1]
-            return (RED, BLUE)[mask >> _bit(graph.neighbors(label), left) & 1]
+            r = graph.right_index(label) - 1
+            return (RED, BLUE)[self.masks[r] >> _bit(graph.neighborhoods[r], left) & 1]
         except (TypeError, ValueError):
             raise ValidationError(f"no edge ({left}, {label!r}) in the colored graph")
 
@@ -321,7 +325,7 @@ class EdgeColoring:
         return self.graph == other.graph and self.masks == other.masks
 
     def __repr__(self):
-        return f"EdgeColoring(graph={self.graph!r}, edges={len(self.graph.edges)})"
+        return f"EdgeColoring(graph={self.graph!r}, edges={self.graph.edge_count})"
 
 
 def pack_coloring(graph, colored_edges, neighborhoods=None):
@@ -332,8 +336,8 @@ def pack_coloring(graph, colored_edges, neighborhoods=None):
     Raises ValidationError for a pair that is not an edge, an edge
     colored twice, a value that is not a color, or an edge left out.
     """
-    if neighborhoods is None:  # one lookup per right, not per edge
-        neighborhoods = [graph.neighbors(label) for label in graph.right_labels]
+    if neighborhoods is None:  # B_{n,k} unranks each right once here, not per edge
+        neighborhoods = list(graph.neighborhoods)
     masks = [0] * len(neighborhoods)
     seen = [0] * len(neighborhoods)
     count = 0
@@ -361,15 +365,14 @@ def constant_coloring(graph, color):
     """Color every edge of the graph the same."""
     if Color(color) is RED:
         return EdgeColoring(graph, bytes(graph.right_count))
-    full = [(1 << len(graph.neighbors(label))) - 1 for label in graph.right_labels]
-    return EdgeColoring(graph, full)
+    return EdgeColoring(graph, [(1 << len(lefts)) - 1 for lefts in graph.neighborhoods])
 
 
 def coloring_from_map(graph, mapping):
     """EdgeColoring from an explicit edge -> color dict (validated total)."""
     index = {label: i for i, label in enumerate(graph.right_labels, 1)}
-    # A set-membership right is its own neighbourhood: reuse the key tuples.
-    neighborhoods = list(index) if isinstance(graph.edges, MembershipEdgeSet) else None
+    # A right of B_{n,k} is its own neighbourhood: reuse the key tuples.
+    neighborhoods = list(index) if graph.membership_arity else None
 
     def colored_edges():
         for edge, color in mapping.items():
@@ -472,18 +475,13 @@ def induced_subgraph(host, lefts, rights):
     for left in lefts:
         if not (isinstance(left, int) and 1 <= left <= host.left_count):
             raise ValidationError(f"unknown left vertex {left!r}")
-    rights = set(_normalize_label(r) for r in rights)
-    for label in rights:
-        if not host.has_right_label(label):
-            raise ValidationError(f"unknown right label {label!r}")
-    kept_labels = tuple(l for l in host.right_labels if l in rights)
+    kept = sorted({host.right_index(_normalize_label(r)) - 1 for r in rights})
     renumber = {old: new for new, old in enumerate(lefts, 1)}
-    edges = frozenset(
-        (renumber[left], label)
-        for (left, label) in host.edges
-        if left in renumber and label in rights
+    return BipartiteGraph(
+        len(lefts),
+        [host.right_labels[r] for r in kept],
+        [tuple(renumber[x] for x in host.neighborhoods[r] if x in renumber) for r in kept],
     )
-    return BipartiteGraph(len(lefts), kept_labels, edges)
 
 
 def find_induced_monochromatic(host, coloring, pattern, budget=None):
@@ -510,8 +508,9 @@ def find_induced_monochromatic(host, coloring, pattern, budget=None):
         raise ValidationError("coloring refers to a different graph than the host")
 
     meter = BudgetMeter(budget)
-    host_adj = [frozenset(host.neighbors(label)) for label in host.right_labels]
-    pat_needs = [pattern.neighbors(label) for label in pattern.right_labels]
+    neighborhoods = list(host.neighborhoods)
+    host_adj = [frozenset(lefts) for lefts in neighborhoods]
+    pat_needs = pattern.neighborhoods
     host_labels = host.right_labels
     pattern_has_edges = pattern.edge_count > 0
 
@@ -524,14 +523,14 @@ def find_induced_monochromatic(host, coloring, pattern, budget=None):
                 if color is BLUE and not pattern_has_edges:
                     break  # vacuous witnesses are RED by convention
                 chosen = _assign_rights(
-                    host, coloring, host_labels, host_adj, needs, left_set, color, meter
+                    neighborhoods, coloring, host_labels, host_adj, needs, left_set, color, meter
                 )
                 if chosen is not None:
                     return InducedCopyWitness(pattern, left_perm, chosen, color)
     return None
 
 
-def _assign_rights(host, coloring, host_labels, host_adj, needs, left_set, color, meter):
+def _assign_rights(neighborhoods, coloring, host_labels, host_adj, needs, left_set, color, meter):
     """Depth-first injective assignment of host rights to pattern rights."""
     b = len(needs)
     chosen = []
@@ -544,7 +543,7 @@ def _assign_rights(host, coloring, host_labels, host_adj, needs, left_set, color
             meter.charge()
             if host_adj[idx] & left_set != needs[j]:
                 continue
-            mask, neighbors = coloring.masks[idx], host.neighbors(label)
+            mask, neighbors = coloring.masks[idx], neighborhoods[idx]
             if any(mask >> _bit(neighbors, l) & 1 != color for l in needs[j]):
                 continue
             used.add(idx)

@@ -306,10 +306,6 @@ def _first_counterexample(arity, palette, s, n, meter):
     return None
 
 
-def _estimate_checks(arity, palette, s, n):
-    return palette ** comb(n, arity)
-
-
 def lower_bound_coloring(arity, palette, s, n, budget=None):
     """A concrete coloring of C([n],arity) with no homogeneous s-set,
     or None when every coloring has one (the first such coloring in
@@ -317,7 +313,7 @@ def lower_bound_coloring(arity, palette, s, n, budget=None):
     if s > n:
         raise ParameterError(f"s={s} exceeds n={n}; every coloring lacks an s-set")
     meter = BudgetMeter(budget)
-    estimate = _estimate_checks(arity, palette, s, n)
+    estimate = palette ** comb(n, arity)
     if estimate > meter.limit:
         raise BudgetExceededError(
             f"enumerating {palette}^C({n},{arity}) = {estimate} colorings "
@@ -343,7 +339,7 @@ def ramsey_number_exact(arity, palette, s, max_n, budget=None):
         raise ParameterError("arity, palette, s, max_n must all be >= 1")
     meter = BudgetMeter(budget)
     for n in range(max(s, 1), max_n + 1):
-        estimate = _estimate_checks(arity, palette, s, n)
+        estimate = palette ** comb(n, arity)
         if estimate > meter.limit:
             raise BudgetExceededError(
                 f"enumerating {palette}^C({n},{arity}) = {estimate} colorings at n={n} "

@@ -16,10 +16,6 @@ from .constructions import complete_bipartite
 from .errors import ParameterError
 from .graphs import BLUE, RED, InducedCopyWitness
 
-# A signature is a tuple of k Colors; tuples compare lexicographically
-# with RED < BLUE, which is the tie-break order used below.
-ColorSignature = tuple
-
 
 def signature_of(coloring, x):
     """The color vector of left vertex x across right positions 1..k."""

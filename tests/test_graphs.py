@@ -7,6 +7,7 @@ import pytest
 from bipartite_ramsey import (
     BLUE,
     RED,
+    BipartiteGraph,
     BudgetExceededError,
     Color,
     InducedCopyWitness,
@@ -30,6 +31,22 @@ def test_graph_validation_rejects_bad_edges():
         make_graph(2, (1, 2), {(1, 5)})
     with pytest.raises(ValidationError):
         make_graph(2, (1, 1), set())
+
+
+def test_graph_constructor_validates_neighbourhoods():
+    assert BipartiteGraph(3, (1, (1, 2)), [(1, 3), ()]).edges == {(1, 1), (3, 1)}
+    for labels, neighborhoods in [
+        ((1,), [(1, 1)]),  # repeated neighbour
+        ((1,), [(2, 1)]),  # not increasing
+        ((1,), [(0,)]),  # outside 1..left_count
+        ((1,), [(4,)]),
+        ((1,), [("1",)]),  # not an int
+        ((1, 2), [(1,)]),  # one neighbourhood for two rights
+        ((1, 1), [(1,), (2,)]),  # repeated label
+        (((2, 1),), [(1,)]),  # unsorted subset label
+    ]:
+        with pytest.raises(ValidationError):
+            BipartiteGraph(3, labels, neighborhoods)
 
 
 def test_graph_labels_normalized_and_queries():

@@ -8,6 +8,7 @@ operation on the explicit graph make_graph builds from the same data.
 """
 
 import random
+from functools import partial
 from itertools import combinations
 from math import comb
 from pathlib import Path
@@ -20,6 +21,7 @@ from bipartite_ramsey import (
     EdgeColoring,
     ValidationError,
     coloring_from_map,
+    constant_coloring,
     k_subsets,
     make_graph,
     random_coloring,
@@ -90,12 +92,133 @@ def test_sequence_matches_the_tuple(n, k):
     assert repr(seq) == repr(ref) and hash(seq) == hash(ref)
 
 
-def test_huge_host_builds_without_materializing():
+def test_huge_host_builds_without_materializing(monkeypatch):
+    def no_iteration(self):
+        raise AssertionError("the lazy host was iterated")
+
+    monkeypatch.setattr(SubsetSequence, "__iter__", no_iteration)
     host = set_bipartite(40, 20)  # C(40, 20) is about 1.4 * 10**11 rights
+    last = tuple(range(21, 41))
     assert len(host.right_labels) == comb(40, 20)
-    assert host.label_at(comb(40, 20)) == tuple(range(21, 41))
-    assert host.right_index(tuple(range(21, 41))) == comb(40, 20)
+    assert host.label_at(comb(40, 20)) == last
+    assert host.right_index(last) == comb(40, 20)
     assert host.membership_arity == 20
+    assert host.edge_count == len(host.edges) == 20 * comb(40, 20)
+    assert host.has_edge(21, last) and not host.has_edge(1, last) and (40, last) in host.edges
+    assert host.neighbors(last) == last
+    # Packing a constant coloring reads the degree, not the neighbourhoods.
+    assert constant_coloring(set_bipartite(22, 8), RED).masks == bytes(comb(22, 8))
+
+
+# -- queries on the lazy host vs the explicit one -----------------------------
+
+
+def outcome(query, *args):
+    """A query's answer, or the type and message of the error it raised."""
+    try:
+        return query(*args)
+    except Exception as exc:  # the comparison is of the error itself
+        return type(exc).__name__, str(exc)
+
+
+def query_answers(host, coloring, labels, lefts):
+    answers = [host.edge_count, len(host.edges), host.membership_arity]
+    for label in labels:
+        answers.append(outcome(host.has_right_label, label))
+        answers.append(outcome(host.right_index, label))
+        answers.append(outcome(host.neighbors, label))
+        for left in lefts:
+            answers.append(outcome(host.has_edge, left, label))
+            answers.append((left, label) in host.edges)
+            answers.append(outcome(coloring.color_of, left, label))
+    return answers
+
+
+def odd_labels(n, k):
+    """Labels that are not rights of B_{n,k}, or are only by equality."""
+    first = tuple(range(1, k + 1))
+    return [(1, n + 1), [1, 2], list(first), 1, k, (True, 2), (True,) + first[1:],
+            first + (n,), first[:-1], (), "1", None, {1: 2}, 1.5]
+
+
+@pytest.mark.parametrize("n, k", [(n, k) for n in range(1, 8) for k in range(1, n + 1)])
+def test_equal_hosts_answer_every_query_alike(n, k):
+    lazy, explicit = set_bipartite(n, k), explicit_host(n, k)
+    assert lazy == explicit and lazy.edges == explicit.edges == set(explicit.edges)
+    masks = random_coloring(explicit, random.Random(n * 10 + k)).masks
+    labels = list(k_subsets(n, k)) + odd_labels(n, k)
+    lefts = [0, 1, n, n + 1, True, "1", None]
+    answers = [
+        query_answers(host, EdgeColoring(host, masks), labels, lefts) for host in (lazy, explicit)
+    ]
+    assert answers[0] == answers[1]
+    assert answers[0][2] == k  # membership_arity
+
+
+def test_unknown_labels_are_false_or_validation_errors():
+    for host in (set_bipartite(4, 2), explicit_host(4, 2), make_graph(2, (1, 2), {(1, 1)})):
+        coloring = constant_coloring(host, RED)
+        for label in ((1, 7), [1, 2], {}, 9, (1, 2, 3)):
+            assert not host.has_right_label(label) and not host.has_edge(1, label)
+            assert (1, label) not in host.edges
+            for query in (host.right_index, host.neighbors, partial(coloring.color_of, 1)):
+                with pytest.raises(ValidationError):
+                    query(label)
+
+
+def plain_reference(left_count, labels, edges):
+    """What a graph's queries should return, from a plain set of edges."""
+    neighbors = {label: tuple(sorted(x for x, y in edges if y == label)) for label in labels}
+    indexed = sorted(
+        (x, r, p)
+        for r, label in enumerate(labels, 1)
+        for p, x in enumerate(neighbors[label])
+    )
+    arity = None
+    for k in range(1, left_count + 1):
+        if labels == list(k_subsets(left_count, k)) and all(neighbors[X] == X for X in labels):
+            arity = k
+    return neighbors, indexed, arity
+
+
+def test_generic_graphs_match_a_plain_edge_set():
+    rng = random.Random(12)
+
+    def random_edges(left_count, labels):
+        return {(x, y) for x in range(1, left_count + 1) for y in labels if rng.random() < 0.5}
+
+    cases = []  # (left_count, labels, labels as make_graph is given them, edges)
+    for _ in range(40):
+        left_count = rng.randint(0, 6)
+        rights = rng.sample(range(1, 9), rng.randint(0, 5))  # int labels in any order
+        cases.append((left_count, rights, rights, random_edges(left_count, rights)))
+        subsets = [X for k in range(1, left_count + 1) for X in k_subsets(left_count, k)]
+        subsets = sorted(rng.sample(subsets, min(len(subsets), rng.randint(1, 6))))
+        as_lists = [list(X) for X in subsets]
+        cases.append((left_count, subsets, as_lists, random_edges(left_count, subsets)))
+    for n, k in [(4, 2), (5, 3), (3, 3)]:  # exactly B_{n,k}
+        subsets = list(k_subsets(n, k))
+        members = {(x, X) for X in subsets for x in X}
+        cases.append((n, subsets, [list(X) for X in subsets], members))
+    for left_count, labels, given, edges in cases:
+        named = [(x, given[labels.index(y)]) for x, y in sorted(edges)]  # list labels in edges too
+        graph = make_graph(left_count, given, named)
+        neighbors, indexed, arity = plain_reference(left_count, labels, edges)
+        assert graph.right_labels == tuple(labels)
+        assert graph.edges == edges and edges == graph.edges and set(graph.edges) == edges
+        assert graph.edges == frozenset(edges) and frozenset(edges) == graph.edges
+        assert graph.edge_count == len(graph.edges) == len(edges)
+        assert all(graph.neighbors(label) == neighbors[label] for label in labels)
+        assert list(graph.indexed_edges()) == indexed
+        assert graph.membership_arity == arity
+        assert all(graph.has_edge(x, y) == ((x, y) in edges) for x in range(7) for y in labels)
+        assert all((x, y, 0) not in graph.edges and [x, y] not in graph.edges for x, y in edges)
+        # e lines in any order, some repeated, read as the same graph
+        text = graph_to_text(graph)
+        header, *lines = text.splitlines()
+        es = [line for line in lines if line.startswith("e ")]
+        shuffled = "\n".join([header, *es[::-1], *lines, *es[:2]])
+        assert graph_from_text(shuffled) == graph_from_text(text)
 
 
 # -- colorings on the lazy host vs the explicit one ---------------------------
@@ -193,7 +316,7 @@ def parse_both(text, monkeypatch):
     for generic in (False, True):
         with monkeypatch.context() as m:
             if generic:
-                m.setattr(formats, "_is_set_graph", lambda *args: False)
+                m.setattr(formats, "set_graph_arity", lambda *args: None)
             try:
                 results.append(graph_from_text(text))
             except ValidationError as exc:
@@ -250,15 +373,16 @@ def test_near_misses_fall_back_to_the_generic_parse(n, k, monkeypatch):
         if isinstance(generic, str):
             assert fast == generic, name  # the same ValidationError message
             continue
-        assert not isinstance(fast.right_labels, SubsetSequence), name
         assert fast == generic, name
+        # A repeated e line adds no edge, so that text is still exactly B_{n,k}.
         assert (fast == host) == (name == "duplicated e line"), name
+        assert isinstance(fast.right_labels, SubsetSequence) == (fast == host), name
 
 
 def test_golden_certificate_reads_the_same_either_way(monkeypatch):
     text = GOLDEN_B93.read_text(encoding="utf-8")
     fast = certificate_from_text(text)
-    monkeypatch.setattr(formats, "_is_set_graph", lambda *args: False)
+    monkeypatch.setattr(formats, "set_graph_arity", lambda *args: None)
     generic = certificate_from_text(text)
     assert isinstance(fast[0].right_labels, SubsetSequence)
     assert fast[0] == generic[0]
