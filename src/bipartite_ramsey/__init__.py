@@ -29,12 +29,7 @@ from .errors import (
     ParameterError,
     ValidationError,
 )
-from .extraction import (
-    ExtractionPlan,
-    build_right_vertex,
-    extract_induced,
-    plan_extraction,
-)
+from .extraction import build_right_vertex, extract_induced
 from .graphs import (
     BLUE,
     RED,
@@ -84,7 +79,6 @@ __all__ = [
     "DerivedColor",
     "EdgeColoring",
     "EmbeddingResult",
-    "ExtractionPlan",
     "InducedCopyWitness",
     "ParameterError",
     "ParameterReport",
@@ -111,7 +105,6 @@ __all__ = [
     "lower_bound_coloring",
     "majority_positions",
     "make_graph",
-    "plan_extraction",
     "ramsey_number_exact",
     "random_coloring",
     "required_parameters",

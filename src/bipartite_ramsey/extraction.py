@@ -18,46 +18,10 @@ gap after s_j upward from s_j + 1 and the gap before s_1 downward to
 s_1 - 1.
 """
 
-from dataclasses import dataclass
-
 from .errors import ParameterError
 from .graphs import InducedCopyWitness, verify_witness
 from .hypergraph import _common_value, derive_coloring, encode_derived
 from .subsets import k_subsets, validate_subset
-
-
-@dataclass(frozen=True)
-class ExtractionPlan:
-    """The derived constants of one extraction: which ranks of the
-    homogeneous set become lefts, and at which positions (with which
-    color) the right vertices meet them."""
-
-    a: int
-    b: int
-    s: int
-    chosen_ranks: tuple
-    positions: tuple
-    color: object
-
-    def __post_init__(self):
-        if self.a < 1 or self.b < 1:
-            raise ParameterError(f"need a, b >= 1, got ({self.a}, {self.b})")
-        if self.s != self.a * self.b + self.b - 1:
-            raise ParameterError(f"s must equal a*b + b - 1, got {self.s}")
-        if self.chosen_ranks != tuple(t * self.b for t in range(1, self.a + 1)):
-            raise ParameterError(f"chosen ranks must be b, 2b, ..., ab, got {self.chosen_ranks}")
-        validate_subset(self.positions, 2 * self.b - 1, self.b)
-
-
-def plan_extraction(a, b, derived):
-    return ExtractionPlan(
-        a=a,
-        b=b,
-        s=a * b + b - 1,
-        chosen_ranks=tuple(t * b for t in range(1, a + 1)),
-        positions=tuple(derived.positions),
-        color=derived.color,
-    )
 
 
 def build_right_vertex(chosen, positions, a, b):
@@ -112,45 +76,47 @@ def extract_induced(homogeneous, derived, a, b, host, coloring):
     ground set equal to the homogeneous set; elements are addressed by
     rank, i.e. the r-th smallest member plays the role of r.
     """
-    plan = plan_extraction(a, b, derived)
+    if a < 1 or b < 1:
+        raise ParameterError(f"need a, b >= 1, got ({a}, {b})")
+    expected = encode_derived(derived, b)  # validates the positions
     k = 2 * b - 1
+    s = a * b + b - 1
     if host.membership_arity != k:
         raise ParameterError(
             f"host must be the full set-membership graph B_(n,{k}), got {host!r}"
         )
     members = sorted(set(homogeneous))
-    if len(members) < plan.s:
+    if len(members) < s:
         raise ParameterError(
-            f"homogeneous set has {len(members)} elements, need a*b + b - 1 = {plan.s}"
+            f"homogeneous set has {len(members)} elements, need a*b + b - 1 = {s}"
         )
     if members and (members[0] < 1 or members[-1] > host.left_count):
         raise ParameterError(f"homogeneous set not contained in [1,{host.left_count}]")
-    members = members[: plan.s]
-    value, _ = _common_value(derive_coloring(coloring, b), members)
-    if value != encode_derived(derived, b):
+    members = members[:s]
+    value, _ = _common_value(derive_coloring(coloring, b).values, host.left_count, k, members)
+    if value != expected:
         raise ParameterError(f"set {members} is not homogeneous with value {derived}")
-    return construct_induced(members, plan, host, coloring)
+    return construct_induced(members, derived, a, b, host, coloring)
 
 
-def construct_induced(members, plan, host, coloring):
-    """The plan's induced monochromatic B_{a,b}, built on the sorted
-    members of a set already known to be homogeneous with the plan's
-    value (the r-th smallest member plays rank r), and checked with
-    verify_witness before it is returned."""
+def construct_induced(members, derived, a, b, host, coloring):
+    """The induced monochromatic B_{a,b} with the derived value's color,
+    built on the sorted members of a set already known to be homogeneous
+    with that value (the r-th smallest member plays rank r), and checked
+    with verify_witness before it is returned."""
     from .constructions import set_bipartite
 
-    a, b = plan.a, plan.b
-    host_left = tuple(members[rank - 1] for rank in plan.chosen_ranks)
+    host_left = tuple(members[rank - 1] for rank in range(b, a * b + 1, b))
     host_right = []
     for T in k_subsets(a, b):
-        ranks = build_right_vertex(tuple(t * b for t in T), plan.positions, a, b)
+        ranks = build_right_vertex(tuple(t * b for t in T), derived.positions, a, b)
         host_right.append(tuple(members[r - 1] for r in ranks))
 
     witness = InducedCopyWitness(
         pattern=set_bipartite(a, b),
         host_left=host_left,
         host_right=tuple(host_right),
-        claimed_color=plan.color,
+        claimed_color=derived.color,
     )
     if not verify_witness(host, witness, coloring):
         raise AssertionError("extraction produced an invalid witness (bug)")

@@ -40,8 +40,7 @@ from math import comb
 from .constructions import complete_bipartite, set_bipartite
 from .errors import ValidationError
 from .graphs import BipartiteGraph, Color, InducedCopyWitness, pack_coloring, set_graph_arity
-from .hypergraph import SubsetColoring
-from .subsets import subset_rank, validate_subset
+from .hypergraph import SubsetColoring, _rank_table
 
 
 def _content_lines(text):
@@ -202,19 +201,16 @@ def subset_coloring_from_text(text):
     if len(header) != 4:
         raise ValidationError(f"bad subset-coloring header {lines[0]!r}")
     n, arity, palette = (_int(x, "subset-coloring header field") for x in header[1:])
-    values = [None] * comb(n, arity)  # indexed by subset rank
-    for line in lines[1:]:
+    values = _rank_table(n, arity, _subset_values(lines[1:]), len(lines) - 1)
+    return SubsetColoring(n, arity, palette, values)
+
+
+def _subset_values(lines):
+    for line in lines:
         parts = line.split()
         if len(parts) != 3 or parts[0] != "sc":
             raise ValidationError(f"unrecognized subset-coloring line {line!r}")
-        subset = validate_subset(_parse_subset(parts[1]), n, arity)
-        r = subset_rank(subset, n)
-        if values[r] is not None:
-            raise ValidationError(f"duplicate subset {subset}")
-        values[r] = _int(parts[2], "subset value")
-    if None in values:
-        raise ValidationError("mapping does not cover every subset")
-    return SubsetColoring(n, arity, palette, values)
+        yield _parse_subset(parts[1]), _int(parts[2], "subset value")
 
 
 # -- homogeneous sets ----------------------------------------------------
@@ -264,7 +260,6 @@ def certificate_to_text(host, witness, coloring=None):
 def certificate_from_text(text):
     """Parse a certificate; returns (host, coloring_or_None, witness)."""
     sections = {}
-    order = []
     current = None
     claimed = None
     for line in _content_lines(text):
@@ -279,7 +274,6 @@ def certificate_from_text(text):
                 claimed = None if parts[1] == "-" else Color.from_letter(parts[1])
             current = first
             sections[current] = []
-            order.append(current)
             continue
         if current is None:
             raise ValidationError(f"certificate line {line!r} outside any section")

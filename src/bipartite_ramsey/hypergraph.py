@@ -80,13 +80,25 @@ class SubsetColoring:
     @classmethod
     def from_map(cls, n, arity, palette_size, mapping):
         """Build from a {subset: value} dict; must be total."""
-        values = [None] * comb(n, arity)
-        for subset, value in mapping.items():
-            t = validate_subset(subset, n, arity)
-            values[subset_rank(t, n)] = value
-        if any(v is None for v in values):
-            raise ValidationError("mapping does not cover every subset")
-        return cls(n, arity, palette_size, tuple(values))
+        return cls(n, arity, palette_size, _rank_table(n, arity, mapping.items(), len(mapping)))
+
+
+def _rank_table(n, arity, pairs, count):
+    """Values by subset rank from count (subset, value) pairs naming each
+    arity-subset of [n] once; the shape is checked before allocating."""
+    if n < 0 or arity < 0:
+        raise ValidationError(f"bad subset-coloring shape (n={n}, arity={arity})")
+    if count != comb(n, arity):
+        raise ValidationError(
+            f"coloring must cover all C({n},{arity}) = {comb(n, arity)} subsets, got {count}"
+        )
+    values = [None] * count
+    for subset, value in pairs:
+        r = subset_rank(validate_subset(subset, n, arity), n)
+        if values[r] is not None:
+            raise ValidationError(f"duplicate subset {subset}")
+        values[r] = value
+    return values  # count distinct ranks of C(n, arity) fill every slot
 
 
 @dataclass(frozen=True)
@@ -159,22 +171,22 @@ def derive_coloring(coloring, b):
     return SubsetColoring(host.left_count, k, derived_palette_size(b), values)
 
 
-def _common_value(coloring, vertices, meter=None):
-    """The single value taken on all arity-subsets of the vertex set,
-    or None if two subsets disagree.  Vacuous sets report value None
-    through homogeneous=True in is_homogeneous."""
-    if len(vertices) == coloring.n and coloring.values:
+def _common_value(values, n, arity, vertices, meter=None):
+    """The single value a value table (indexed by subset rank, see
+    SubsetColoring) takes on all arity-subsets of the vertex set, as
+    (value, True), or (None, False) if two subsets disagree."""
+    if len(vertices) == n and values:
         # Whole ground set: its subsets are the dense value table itself.
         if meter is not None:
-            meter.charge(len(coloring.values))
-        first = coloring.values[0]
-        ok = coloring.values.count(first) == len(coloring.values)
+            meter.charge(len(values))
+        first = values[0]
+        ok = values.count(first) == len(values)
         return (first, True) if ok else (None, False)
     first = None
-    for subset in combinations(vertices, coloring.arity):
+    for subset in combinations(vertices, arity):
         if meter is not None:
             meter.charge()
-        value = coloring.values[subset_rank(subset, coloring.n)]
+        value = values[subset_rank(subset, n)]
         if first is None:
             first = value
         elif value != first:
@@ -195,7 +207,7 @@ def is_homogeneous(coloring, vertices):
         raise ParameterError(f"vertex set {vset} not contained in [1,{coloring.n}]")
     if len(vset) < coloring.arity:
         return True
-    _, ok = _common_value(coloring, vset)
+    _, ok = _common_value(coloring.values, coloring.n, coloring.arity, vset)
     return ok
 
 
@@ -219,29 +231,32 @@ def find_homogeneous_set(coloring, s, budget=None):
         raise ParameterError(f"s must be >= 0, got {s}")
     if s > coloring.n:
         return None
-    meter = BudgetMeter(budget)
-    if s < coloring.arity:
+    return _homogeneous(coloring.values, coloring.n, coloring.arity, s, BudgetMeter(budget))
+
+
+def _homogeneous(values, n, arity, s, meter):
+    """find_homogeneous_set for 0 <= s <= n on a bare value table."""
+    if s < arity:
         return tuple(range(1, s + 1)), None
-    if s == coloring.n or coloring.arity == 0:  # arity 0: one subset, (), colors all
-        value, ok = _common_value(coloring, range(1, s + 1), meter)
+    if s == n or arity == 0:  # arity 0: one subset, (), colors all
+        value, ok = _common_value(values, n, arity, range(1, s + 1), meter)
         return (tuple(range(1, s + 1)), value) if ok else None
-    return _extend_homogeneous(coloring, s, meter)
+    return _extend_homogeneous(values, n, arity, s, meter)
 
 
-def _extend_homogeneous(coloring, s, meter):
-    """Depth-first search for 1 <= arity <= s < n.
+def _extend_homogeneous(values, n, k, s, meter):
+    """Depth-first search for 1 <= k = arity <= s < n.
 
     Vertices join the chosen prefix in increasing order, so complete
     s-sets are reached in combinations order, and a prefix that is not
     homogeneous is abandoned (homogeneity is hereditary): the first
     s-set reached is the lexicographically first homogeneous one.
 
-    With k = arity, rank(X) = C(n,k) - 1 - sum_j C(n - x_j, k - j) (see
-    subset_rank).  sums[t] holds that sum over the positions of each
-    t-subset of the prefix, so the subset Y + (v,) completed by a new
-    vertex v ranks top - sums[k-1][Y] + v, with top = C(n,k) - 1 - n.
+    rank(X) = C(n,k) - 1 - sum_j C(n - x_j, k - j) (see subset_rank).
+    sums[t] holds that sum over the positions of each t-subset of the
+    prefix, so the subset Y + (v,) completed by a new vertex v ranks
+    top - sums[k-1][Y] + v, with top = C(n,k) - 1 - n.
     """
-    n, k, values = coloring.n, coloring.arity, coloring.values
     top = len(values) - 1 - n
     sums = [[0]] + [[] for _ in range(k - 1)]
     chosen = []
@@ -281,27 +296,23 @@ def _extend_homogeneous(coloring, s, meter):
 
 
 def _first_counterexample(arity, palette, s, n, meter):
-    """First coloring of C([n],arity), in odometer order, with no
-    homogeneous s-set; None if every coloring has one.
+    """First coloring of C([n],arity), in odometer order, in which
+    find_homogeneous_set's search (on the caller's meter) finds no
+    s-set; None if every coloring has one.  Refused up front when there
+    are more colorings than the budget.
 
     Odometer order: values listed by subset rank, the last position
     (lexicographically largest subset) ticking fastest, all-1s first.
     """
-    m = comb(n, arity)
-    candidates = list(combinations(range(1, n + 1), s))
-    subset_ranks = [
-        tuple(subset_rank(sub, n) for sub in combinations(candidate, arity))
-        for candidate in candidates
-    ]
-    for values in product(range(1, palette + 1), repeat=m):
-        found = False
-        for ranks in subset_ranks:
-            meter.charge(len(ranks))
-            first = values[ranks[0]] if ranks else None
-            if all(values[r] == first for r in ranks):
-                found = True
-                break
-        if not found:
+    estimate = palette ** comb(n, arity)
+    if estimate > meter.limit:
+        raise BudgetExceededError(
+            f"enumerating {palette}^C({n},{arity}) = {estimate} colorings at n={n} "
+            f"exceeds the budget of {meter.limit}",
+            estimate=estimate, limit=meter.limit, used=meter.used,
+        )
+    for values in product(range(1, palette + 1), repeat=comb(n, arity)):
+        if _homogeneous(values, n, arity, s, meter) is None:
             return SubsetColoring(n, arity, palette, values)
     return None
 
@@ -310,18 +321,9 @@ def lower_bound_coloring(arity, palette, s, n, budget=None):
     """A concrete coloring of C([n],arity) with no homogeneous s-set,
     or None when every coloring has one (the first such coloring in
     odometer order, so the result is reproducible)."""
-    if s > n:
-        raise ParameterError(f"s={s} exceeds n={n}; every coloring lacks an s-set")
-    meter = BudgetMeter(budget)
-    estimate = palette ** comb(n, arity)
-    if estimate > meter.limit:
-        raise BudgetExceededError(
-            f"enumerating {palette}^C({n},{arity}) = {estimate} colorings "
-            f"exceeds the budget of {meter.limit}",
-            estimate=estimate,
-            limit=meter.limit,
-        )
-    return _first_counterexample(arity, palette, s, n, meter)
+    if not 0 <= s <= n:
+        raise ParameterError(f"need 0 <= s <= n, got s={s} and n={n}")
+    return _first_counterexample(arity, palette, s, n, BudgetMeter(budget))
 
 
 def ramsey_number_exact(arity, palette, s, max_n, budget=None):
@@ -339,15 +341,6 @@ def ramsey_number_exact(arity, palette, s, max_n, budget=None):
         raise ParameterError("arity, palette, s, max_n must all be >= 1")
     meter = BudgetMeter(budget)
     for n in range(max(s, 1), max_n + 1):
-        estimate = palette ** comb(n, arity)
-        if estimate > meter.limit:
-            raise BudgetExceededError(
-                f"enumerating {palette}^C({n},{arity}) = {estimate} colorings at n={n} "
-                f"exceeds the budget of {meter.limit}",
-                estimate=estimate,
-                limit=meter.limit,
-                used=meter.used,
-            )
         if _first_counterexample(arity, palette, s, n, meter) is None:
             return n
     return None

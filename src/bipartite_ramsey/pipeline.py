@@ -21,7 +21,8 @@ from math import comb
 
 from .constructions import embed_into_set_bipartite
 from .errors import ParameterError, ValidationError
-from .extraction import construct_induced, plan_extraction
+from .extraction import construct_induced
+from .formats import _format_label
 from .graphs import BLUE, RED, InducedCopyWitness, verify_witness
 from .hypergraph import decode_derived, derive_coloring, find_homogeneous_set
 from .subsets import subset_rank
@@ -86,8 +87,7 @@ def find_induced_mono_pattern(pattern, coloring, budget=None):
     derived = decode_derived(value, report.b)
     # find_homogeneous_set has just checked every subset of the set, so
     # the construction runs without extract_induced's second check.
-    plan = plan_extraction(report.a, report.b, derived)
-    inner = construct_induced(homogeneous, plan, host, coloring)
+    inner = construct_induced(homogeneous, derived, report.a, report.b, host, coloring)
 
     # Compose the embedding with the extracted copy.  Pattern right j sits
     # at some b-subset of [a]; its final image is the host right vertex the
@@ -103,12 +103,6 @@ def find_induced_mono_pattern(pattern, coloring, budget=None):
     if not verify_witness(host, witness, coloring):
         raise AssertionError("pipeline composed an invalid witness (bug)")
     return witness
-
-
-def _node_label(label):
-    if isinstance(label, tuple):
-        return ",".join(str(x) for x in label)
-    return str(label)
 
 
 _DOT_COLOR = {RED: "red", BLUE: "blue", None: "black"}
@@ -144,7 +138,7 @@ def export_dot(graph, coloring=None, witness=None):
     right_nodes = []
     for idx, label in enumerate(graph.right_labels, 1):
         style = ' style=bold penwidth=2' if idx in marked_rights else ""
-        right_nodes.append(f'    R{idx} [label="{_node_label(label)}"{style}];')
+        right_nodes.append(f'    R{idx} [label="{_format_label(label)}"{style}];')
     if right_nodes:
         lines.append("  { rank=same;")
         lines.extend(right_nodes)

@@ -86,14 +86,21 @@ class SubsetSequence(Sequence):
     def __iter__(self):
         return k_subsets(self.n, self.k)
 
+    def _rank(self, subset):
+        """Rank of the item equal to subset, or -1 if there is none."""
+        if not isinstance(subset, tuple):
+            return -1
+        try:  # as in a tuple, an element equal to an int (2.0, True) matches it
+            t = tuple(map(int, subset))
+            return subset_rank(validate_subset(t, self.n, self.k), self.n) if t == subset else -1
+        except (TypeError, ValueError, OverflowError):  # ValidationError included
+            return -1
+
     def __contains__(self, subset):
-        try:  # validate_subset raises unless subset is a sorted k-subset of [n]
-            return isinstance(subset, tuple) and validate_subset(subset, self.n, self.k) == subset
-        except ValidationError:
-            return False
+        return self._rank(subset) >= 0
 
     def index(self, subset, start=0, stop=None):
-        r = subset_rank(subset, self.n) if subset in self else -1
+        r = self._rank(subset)
         if r not in range(self._len)[start:stop]:
             raise ValueError(f"{subset!r} is not in the sequence")
         return r

@@ -222,6 +222,8 @@ MALFORMED = {
     "coloring-left-token": (["extract-complete", "--a", "1", "--b", "1"], "c 1 1 R\nc q 1 R\n"),
     "coloring-right-token": (["extract-complete", "--a", "1", "--b", "1"], "c 1 q R\n"),
     "subset-not-arity": (["find-homogeneous", "--s", "2"], "subsetcoloring 3 2 2\nsc 1,3,2 1\n"),
+    "subset-negative-n": (["find-homogeneous", "--s", "2"], "subsetcoloring -1 2 2\n"),
+    "subset-huge-header": (["find-homogeneous", "--s", "2"], "subsetcoloring 100000 50 2\n"),
 }
 
 

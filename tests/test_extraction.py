@@ -9,12 +9,12 @@ from bipartite_ramsey import (
     RED,
     DerivedColor,
     ParameterError,
+    ValidationError,
     build_right_vertex,
     constant_coloring,
     coloring_from_map,
     extract_induced,
     find_induced_monochromatic,
-    plan_extraction,
     set_bipartite,
     verify_witness,
 )
@@ -51,15 +51,13 @@ def test_build_right_vertex_exhaustive():
                     assert 1 <= X[0] and X[-1] <= a * b + b - 1
 
 
-def test_plan_validation():
-    derived = DerivedColor(RED, (1, 3))
-    plan = plan_extraction(4, 2, derived)
-    assert plan.s == 9
-    assert plan.chosen_ranks == (2, 4, 6, 8)
+def test_extract_checks_parameters_first(b93):
+    # a and b, then the derived positions, are checked before the set is.
+    coloring = constant_coloring(b93, RED)
     with pytest.raises(ParameterError):
-        plan_extraction(0, 2, derived)
-    with pytest.raises(ValueError):
-        plan_extraction(4, 2, DerivedColor(RED, (1, 2, 3)))
+        extract_induced(range(1, 10), DerivedColor(RED, (1, 3)), 0, 2, b93, coloring)
+    with pytest.raises(ValidationError):
+        extract_induced([], DerivedColor(RED, (1, 2, 3)), 4, 2, b93, coloring)
 
 
 FIGURE_CASES = {

@@ -114,6 +114,14 @@ def test_subset_coloring_text_errors():
         subset_coloring_from_text(
             "subsetcoloring 3 2 2\nsc 1,2 1\nsc 1,2 2\nsc 1,3 1\nsc 2,3 1\n"
         )
+    for text in (
+        "subsetcoloring 3 2 2\nsc 2,3 1\n",  # too few lines, the last subset among them
+        "subsetcoloring 3 2 2\nsc 1,2 1\nsc 1,2 2\nsc 2,3 1\n",  # right count, a duplicate
+        "subsetcoloring -1 2 2\n",
+        "subsetcoloring 100000 50 2\n",
+    ):
+        with pytest.raises(ValidationError):
+            subset_coloring_from_text(text)
 
 
 def test_certificate_round_trip_with_coloring(b93):

@@ -2,7 +2,7 @@
 micro-scale Ramsey numbers."""
 
 import random
-from itertools import combinations
+from itertools import combinations, product
 from math import comb
 
 import pytest
@@ -27,6 +27,7 @@ from bipartite_ramsey import (
     majority_positions,
     ramsey_number_exact,
     set_bipartite,
+    subset_rank,
 )
 from conftest import position_rule_coloring
 
@@ -41,6 +42,9 @@ def test_subset_coloring_validation():
     assert sc.value_of((3, 4)) == 2
     with pytest.raises(ValueError):
         sc.value_of((2, 1))
+    for n, arity, mapping in ((-1, 2, {}), (4, -1, {}), (4, 2, {(1, 2): 1})):
+        with pytest.raises(ValidationError):
+            SubsetColoring.from_map(n, arity, 2, mapping)
 
 
 def test_derived_color_codec_round_trip():
@@ -367,12 +371,41 @@ def test_ramsey_exact_refuses_big_enumeration():
     assert info.value.estimate > 50
 
 
+def reference_counterexample(arity, palette, s, n):
+    """Reference: walk every coloring in odometer order and check each
+    against every s-set's tuple of subset ranks."""
+    candidates = [
+        tuple(subset_rank(subset, n) for subset in combinations(candidate, arity))
+        for candidate in combinations(range(1, n + 1), s)
+    ]
+    for values in product(range(1, palette + 1), repeat=comb(n, arity)):
+        if not any(len({values[r] for r in ranks}) <= 1 for ranks in candidates):
+            return SubsetColoring(n, arity, palette, values)
+    return None
+
+
+def test_ramsey_enumeration_matches_the_candidate_walk():
+    cases = 0
+    for arity, palette, s in product(range(1, 4), repeat=3):
+        ns = [n for n in range(s, 7) if palette ** comb(n, arity) <= 2 ** 15]
+        expected = [reference_counterexample(arity, palette, s, n) for n in ns]
+        for n, counterexample in zip(ns, expected):
+            assert lower_bound_coloring(arity, palette, s, n) == counterexample, (arity, palette, s, n)
+            cases += 1
+        threshold = next((n for n, cx in zip(ns, expected) if cx is None), None)
+        assert ramsey_number_exact(arity, palette, s, ns[-1]) == threshold, (arity, palette, s)
+    assert cases > 60
+
+
 def test_lower_bound_coloring_rechecked():
     cx = lower_bound_coloring(2, 2, 3, 5)
     assert cx is not None
     assert find_homogeneous_set(cx, 3) is None
     # At and above the threshold there is no counterexample.
     assert lower_bound_coloring(2, 2, 3, 6) is None
+    for s in (-1, 6):
+        with pytest.raises(ParameterError):
+            lower_bound_coloring(2, 2, s, 5)
 
 
 def test_monotone_at_pigeonhole_scale():

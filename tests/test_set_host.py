@@ -138,7 +138,8 @@ def odd_labels(n, k):
     """Labels that are not rights of B_{n,k}, or are only by equality."""
     first = tuple(range(1, k + 1))
     return [(1, n + 1), [1, 2], list(first), 1, k, (True, 2), (True,) + first[1:],
-            first + (n,), first[:-1], (), "1", None, {1: 2}, 1.5]
+            first + (n,), first[:-1], (), "1", None, {1: 2}, 1.5,
+            (1.0,) + first[1:], first[:-1] + (float(k),)]
 
 
 @pytest.mark.parametrize("n, k", [(n, k) for n in range(1, 8) for k in range(1, n + 1)])
