@@ -51,4 +51,4 @@ print("  color:      ", witness.claimed_color.name)
 print("  checker accepts:", verify_witness(host, witness, coloring))
 
 print("\nthe five-edge pattern needs B_(35,7) (about 6.7M right vertices);")
-print("run it with: RUN_SLOW=1 pytest tests/test_acceptance.py -k full_scale -s")
+print("run it with: pytest tests/test_acceptance.py -k full_scale -s")

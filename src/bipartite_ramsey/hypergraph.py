@@ -1,10 +1,10 @@
 """Colorings of k-subsets, homogeneous sets, and exact micro Ramsey numbers.
 
 A SubsetColoring assigns one of palette_size values to every arity-subset
-of {1,...,n}; values are stored densely, indexed by the subset's
-lexicographic rank, so lookups are O(1).  A vertex set H is homogeneous
-when all arity-subsets of H get the same value (vacuously so when H is
-smaller than the arity).
+of {1,...,n}; values are stored densely by the subset's lexicographic
+rank, as bytes when palette_size <= 255 and a tuple otherwise, so lookups
+are O(1).  A vertex set H is homogeneous when all arity-subsets of H get
+the same value (vacuously so when H is smaller than the arity).
 
 derive_coloring turns an edge 2-coloring of the set-membership graph
 B_{n,2b-1} into a subset coloring: each (2b-1)-subset X = {z_1 < ... <
@@ -14,8 +14,8 @@ so exactly one color qualifies) and I is the set of the b smallest
 positions p with that color.  Which b positions to record is a free
 choice; smallest-first is pinned here for determinism.  The palette has
 exactly 2 * C(2b-1, b) values.  The vote depends only on a subset's
-packed edge mask, so it is computed once per mask value (2^(2b-1) of
-them) and the masks are mapped through that table.
+packed edge mask, so it is computed once per mask value (2^(2b-1)) and
+the masks are mapped through that table, bytes in one bytes.translate.
 
 find_homogeneous_set returns the lexicographically first homogeneous
 s-set.  It grows a vertex prefix depth-first in increasing vertex order
@@ -47,25 +47,31 @@ class SubsetColoring:
     n: int
     arity: int
     palette_size: int
-    values: tuple  # values[r] colors the subset of lexicographic rank r
+    values: object  # values[r] colors rank r: bytes if palette_size <= 255, else a tuple
 
     def __post_init__(self):
-        if self.n < 0 or self.arity < 0 or self.palette_size < 1:
+        values, palette = self.values, self.palette_size
+        if self.n < 0 or self.arity < 0 or palette < 1:
             raise ValidationError(
-                f"bad subset-coloring shape (n={self.n}, arity={self.arity}, "
-                f"palette={self.palette_size})"
+                f"bad subset-coloring shape (n={self.n}, arity={self.arity}, palette={palette})"
             )
-        values = tuple(self.values)
+        try:
+            if type(values) is not bytes or palette > 255:  # bytes are checked in C, not copied
+                values = bytes(values) if palette <= 255 else tuple(map(operator.index, values))
+            if palette <= 255:
+                bad = values.translate(None, bytes(range(1, palette + 1)))
+            else:
+                bad = values and not (1 <= min(values) and max(values) <= palette)
+        except (TypeError, ValueError):  # not an integer, or not a byte
+            bad = True
+        if bad:
+            raise ValidationError(f"palette values must be integers in 1..{palette}")
         object.__setattr__(self, "values", values)
         expected = comb(self.n, self.arity)
         if len(values) != expected:
             raise ValidationError(
                 f"coloring must cover all C({self.n},{self.arity}) = {expected} "
                 f"subsets, got {len(values)} values"
-            )
-        if values and not (1 <= min(values) and max(values) <= self.palette_size):
-            raise ValidationError(
-                f"palette values must lie in 1..{self.palette_size}"
             )
 
     def value_of(self, subset):
@@ -167,7 +173,11 @@ def derive_coloring(coloring, b):
         encode_derived(majority_positions([(RED, BLUE)[m >> p & 1] for p in range(k)], b), b)
         for m in range(1 << k)
     ]
-    values = tuple(map(table.__getitem__, coloring.masks))
+    masks = coloring.masks
+    if type(masks) is bytes:  # k <= 8: one C-speed pass through the padded table
+        values = masks.translate(bytes(table).ljust(256, b"\0"))
+    else:
+        values = map(table.__getitem__, masks)
     return SubsetColoring(host.left_count, k, derived_palette_size(b), values)
 
 

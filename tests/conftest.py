@@ -1,5 +1,3 @@
-import os
-
 import pytest
 
 from bipartite_ramsey import (
@@ -9,15 +7,6 @@ from bipartite_ramsey import (
     make_graph,
     set_bipartite,
 )
-
-
-def pytest_collection_modifyitems(config, items):
-    if os.environ.get("RUN_SLOW") == "1":
-        return
-    skip = pytest.mark.skip(reason="slow demonstration; set RUN_SLOW=1 to run")
-    for item in items:
-        if "slow" in item.keywords:
-            item.add_marker(skip)
 
 
 @pytest.fixture

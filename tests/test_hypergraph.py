@@ -47,6 +47,37 @@ def test_subset_coloring_validation():
             SubsetColoring.from_map(n, arity, 2, mapping)
 
 
+@pytest.mark.parametrize("palette, storage", [(2, bytes), (255, bytes), (256, tuple), (924, tuple)])
+def test_subset_coloring_storage_follows_the_palette(palette, storage):
+    top = min(palette, 255)
+    values = (1, top, 2, 1, top, 1)
+    given = (values, list(values), iter(values), bytes(values))
+    built = [SubsetColoring(4, 2, palette, v) for v in given]
+    for sc in built:
+        assert type(sc.values) is storage
+        assert sc == built[0] and hash(sc) == hash(built[0])
+        assert list(sc.values) == list(values)
+        assert sc.value_of((2, 4)) == top
+
+
+@pytest.mark.parametrize("palette", [2, 255, 256])
+def test_subset_coloring_refuses_a_value_outside_the_palette(palette):
+    for bad in (0, palette + 1, -1, 1.0, "a", None):
+        values = (1, 1, bad, 1, 1, 1)
+        given = [values, list(values)]
+        if isinstance(bad, int) and 0 <= bad <= 255:
+            given.append(bytes(values))
+        for v in given:
+            with pytest.raises(ValidationError):
+                SubsetColoring(4, 2, palette, v)
+
+
+def test_subset_coloring_accepts_bools_as_ints():
+    for palette in (2, 256):
+        sc = SubsetColoring(4, 2, palette, (True, 1, True, 1, 1, 1))
+        assert sc == SubsetColoring(4, 2, palette, (1,) * 6)
+
+
 def test_derived_color_codec_round_trip():
     for b in (1, 2, 3, 4):
         size = derived_palette_size(b)

@@ -1,6 +1,7 @@
 """Packed edge colorings checked against a plain edge -> color dict."""
 
 import random
+import tracemalloc
 from itertools import combinations
 
 import pytest
@@ -11,6 +12,7 @@ from bipartite_ramsey import (
     DerivedColor,
     ParameterError,
     coloring_from_map,
+    constant_coloring,
     decode_derived,
     derive_coloring,
     extract_induced,
@@ -19,23 +21,64 @@ from bipartite_ramsey import (
     set_bipartite,
     verify_witness,
 )
-from bipartite_ramsey.formats import coloring_from_text, coloring_to_text
+from bipartite_ramsey.formats import (
+    coloring_from_text,
+    coloring_to_text,
+    subset_coloring_from_text,
+    subset_coloring_to_text,
+)
 
 
 def plain_random_colors(graph, rng):
     return {edge: (RED if rng.random() < 0.5 else BLUE) for edge in graph.sorted_edges()}
 
 
-@pytest.mark.parametrize("n, b", [(9, 2), (10, 3)])
-def test_derived_values_match_the_vote_per_subset(n, b):
+# Every storage pair: bytes masks are translated (b <= 4); tuple masks are
+# mapped into bytes values (b = 5, palette 252) or tuple values (b = 6,
+# palette 924).
+@pytest.mark.parametrize(
+    "n, b, masks_type, values_type",
+    [
+        (9, 2, bytes, bytes),
+        (10, 3, bytes, bytes),
+        (9, 4, bytes, bytes),
+        (10, 5, tuple, bytes),
+        (12, 6, tuple, tuple),
+    ],
+)
+def test_derived_values_match_the_vote_per_subset(n, b, masks_type, values_type):
     host = set_bipartite(n, 2 * b - 1)
     rng = random.Random(100 * n + b)
     for _ in range(3):
         colors = plain_random_colors(host, rng)
-        derived = derive_coloring(coloring_from_map(host, colors), b)
+        coloring = coloring_from_map(host, colors)
+        derived = derive_coloring(coloring, b)
+        assert type(coloring.masks) is masks_type
+        assert type(derived.values) is values_type
         for X, value in derived.items():
             vote = majority_positions([colors[(z, X)] for z in X], b)
             assert decode_derived(value, b) == vote
+
+
+def test_derived_coloring_text_round_trip():
+    host = set_bipartite(9, 5)
+    colors = plain_random_colors(host, random.Random(5))
+    text = subset_coloring_to_text(derive_coloring(coloring_from_map(host, colors), 3))
+    assert subset_coloring_to_text(subset_coloring_from_text(text)) == text
+
+
+def test_derive_coloring_stores_at_most_three_bytes_per_subset():
+    # One byte per subset plus the range check's scratch copy; a tuple of
+    # ints costs 8 bytes a slot.
+    coloring = constant_coloring(set_bipartite(24, 7), RED)
+    tracemalloc.start()
+    try:
+        derived = derive_coloring(coloring, 4)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(derived.values) == 346_104
+    assert peak <= 3 * len(derived.values)
 
 
 def test_extract_refuses_exactly_when_a_subset_of_the_used_members_disagrees():

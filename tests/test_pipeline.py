@@ -137,7 +137,6 @@ def test_pipeline_random_spot_checks():
     assert outcomes["absent"] > 0
 
 
-@pytest.mark.slow
 def test_pipeline_small_pattern_full_scale(small_pattern):
     # c = 3, d = 2: host B_{35,7} with about 6.7 million right vertices.
     host = set_bipartite(35, 7)
