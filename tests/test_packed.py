@@ -45,6 +45,7 @@ def plain_random_colors(graph, rng):
         (10, 5, tuple, bytes),
         (12, 6, tuple, tuple),
     ],
+    ids=["9-2", "10-3", "9-4", "10-5", "12-6"],
 )
 def test_derived_values_match_the_vote_per_subset(n, b, masks_type, values_type):
     host = set_bipartite(n, 2 * b - 1)
