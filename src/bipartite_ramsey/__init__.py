@@ -19,8 +19,10 @@ constructions are tested against.
 
 from .constructions import (
     EmbeddingResult,
+    ParameterReport,
     complete_bipartite,
     embed_into_set_bipartite,
+    required_parameters,
     set_bipartite,
 )
 from .errors import (
@@ -30,6 +32,7 @@ from .errors import (
     ValidationError,
 )
 from .extraction import build_right_vertex, extract_induced
+from .formats import export_dot
 from .graphs import (
     BLUE,
     RED,
@@ -59,12 +62,7 @@ from .hypergraph import (
     ramsey_number_exact,
 )
 from .pigeonhole import extract_monochromatic_complete, signature_of
-from .pipeline import (
-    ParameterReport,
-    export_dot,
-    find_induced_mono_pattern,
-    required_parameters,
-)
+from .pipeline import find_induced_mono_pattern
 from .subsets import k_subsets, subset_rank, subset_unrank
 
 __version__ = "0.1.0"

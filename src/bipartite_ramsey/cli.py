@@ -12,6 +12,7 @@ import sys
 
 from . import formats
 from .constructions import complete_bipartite, embed_into_set_bipartite, set_bipartite
+from .constructions import required_parameters
 from .errors import BudgetExceededError, ParameterError, ValidationError
 from .extraction import extract_induced
 from .graphs import verify_witness
@@ -22,7 +23,7 @@ from .hypergraph import (
     ramsey_number_exact,
 )
 from .pigeonhole import extract_monochromatic_complete
-from .pipeline import export_dot, find_induced_mono_pattern, required_parameters
+from .pipeline import find_induced_mono_pattern
 
 EXIT_FOUND = 0
 EXIT_ABSENT = 1
@@ -50,7 +51,7 @@ def _emit(text, path):
 def _emit_certificate(args, host, witness, coloring=None):
     _emit(formats.certificate_to_text(host, witness, coloring), args.output)
     if getattr(args, "dot", None):
-        formats.save_text(args.dot, export_dot(host, coloring, witness))
+        formats.save_text(args.dot, formats.export_dot(host, coloring, witness))
 
 
 def cmd_build(args):
@@ -114,8 +115,8 @@ def cmd_extract_induced(args):
 
 def cmd_find_induced(args):
     pattern = formats.graph_from_text(formats.load_text(args.pattern))
-    b = pattern.left_count + 1
-    coloring = formats.set_coloring_from_text(formats.load_text(args.coloring), 2 * b - 1)
+    k = required_parameters(pattern).k
+    coloring = formats.set_coloring_from_text(formats.load_text(args.coloring), k)
     witness = find_induced_mono_pattern(pattern, coloring, budget=_budget())
     if witness is None:
         print("no homogeneous set; no witness at this ground-set size", file=sys.stderr)
@@ -161,7 +162,7 @@ def cmd_dot(args):
     witness = None
     if args.certificate:
         _, _, witness = formats.certificate_from_text(formats.load_text(args.certificate))
-    _emit(export_dot(graph, coloring, witness), args.output)
+    _emit(formats.export_dot(graph, coloring, witness), args.output)
     return EXIT_FOUND
 
 

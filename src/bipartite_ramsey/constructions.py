@@ -1,4 +1,5 @@
-"""Builders for the two host families, and the pattern embedding.
+"""Builders for the two host families, the pattern embedding, and the
+pattern's parameters.
 
 complete_bipartite(n, k) is the all-edges host on n + k vertices.
 set_bipartite(n, k) is the set-membership graph: lefts 1..n, one right
@@ -16,13 +17,15 @@ Pattern right j becomes the b-set
 where N(j) is j's neighborhood in the pattern.  The distinguisher 2c+j
 keeps distinct rights distinct even when their neighborhoods agree, and
 the fillers pad the set up to size b without touching 1..c, so the copy
-is induced.  No attempt is made to minimize a or b.
+is induced.  No attempt is made to minimize a or b.  required_parameters
+is the one place a, b and the pipeline's other constants are computed.
 """
 
 from dataclasses import dataclass
 
 from .errors import ParameterError
 from .graphs import BipartiteGraph, InducedCopyWitness, verify_witness
+from .hypergraph import derived_palette_size
 from .subsets import SubsetSequence
 
 
@@ -49,6 +52,41 @@ def set_bipartite(n, k):
 
 
 @dataclass(frozen=True)
+class ParameterReport:
+    """Every constant the pipeline would use for a pattern, plus the
+    guarantee threshold as a formula; its value is out of reach."""
+
+    c: int
+    d: int
+    a: int
+    b: int
+    k: int
+    s: int
+    palette: int
+    n_formula: str
+    n_value: None = None
+
+
+def required_parameters(pattern):
+    """Derived constants for a pattern with c lefts and d rights."""
+    c = pattern.left_count
+    d = len(pattern.right_labels)
+    if c < 1 or d < 1:
+        raise ParameterError(
+            f"pattern must have at least one vertex per side, got {c} lefts, {d} rights"
+        )
+    a = 2 * c + d
+    b = c + 1
+    k = 2 * b - 1
+    s = a * b + b - 1
+    palette = derived_palette_size(b)
+    return ParameterReport(
+        c=c, d=d, a=a, b=b, k=k, s=s, palette=palette,
+        n_formula=f"R_{{{k},{palette}}}({s})",
+    )
+
+
+@dataclass(frozen=True)
 class EmbeddingResult:
     """An induced placement of a pattern inside B_{a,b}.
 
@@ -67,14 +105,8 @@ class EmbeddingResult:
 
 def embed_into_set_bipartite(pattern):
     """Embed a pattern with c lefts and d rights induced into B_{2c+d, c+1}."""
-    c = pattern.left_count
-    d = len(pattern.right_labels)
-    if c < 1 or d < 1:
-        raise ParameterError(
-            f"pattern must have at least one vertex on each side, got {c} lefts, {d} rights"
-        )
-    a = 2 * c + d
-    b = c + 1
+    p = required_parameters(pattern)
+    c, d, a, b = p.c, p.d, p.a, p.b
 
     right_map = {}
     for j, neighbors in enumerate(pattern.neighborhoods, 1):

@@ -18,6 +18,7 @@ gap after s_j upward from s_j + 1 and the gap before s_1 downward to
 s_1 - 1.
 """
 
+from .constructions import set_bipartite
 from .errors import ParameterError
 from .graphs import InducedCopyWitness, verify_witness
 from .hypergraph import _common_value, derive_coloring, encode_derived
@@ -104,8 +105,6 @@ def construct_induced(members, derived, a, b, host, coloring):
     built on the sorted members of a set already known to be homogeneous
     with that value (the r-th smallest member plays rank r), and checked
     with verify_witness before it is returned."""
-    from .constructions import set_bipartite
-
     host_left = tuple(members[rank - 1] for rank in range(b, a * b + 1, b))
     host_right = []
     for T in k_subsets(a, b):

@@ -1,5 +1,5 @@
 """Line-oriented text formats for graphs, colorings, subset colorings,
-and witness certificates.
+and witness certificates, and Graphviz DOT rendering (export_dot).
 
 Graph:
     bipartite <left_count> <right_count>
@@ -38,7 +38,7 @@ Blank lines and lines starting with '#' are ignored everywhere.
 from math import comb
 
 from .constructions import complete_bipartite, set_bipartite
-from .errors import ValidationError
+from .errors import ParameterError, ValidationError
 from .graphs import BipartiteGraph, Color, InducedCopyWitness, pack_coloring, set_graph_arity
 from .hypergraph import SubsetColoring, _rank_table
 
@@ -151,12 +151,17 @@ def coloring_from_text(text, graph):
 
 
 def infer_complete_host(text):
-    """Reconstruct K_{n,k} from a total coloring file of a complete host."""
-    n = k = 0
+    """Reconstruct K_{n,k} from a total coloring file of a complete host;
+    the line count is checked before the host is built."""
+    n = k = count = 0
     for left, index, _ in _coloring_lines(_content_lines(text)):
-        n, k = max(n, left), max(k, index)
+        n, k, count = max(n, left), max(k, index), count + 1
     if n < 1 or k < 1:
         raise ValidationError("coloring file contains no coloring lines")
+    if count != n * k:
+        raise ValidationError(
+            f"coloring has {count} lines, a total coloring of K_({n},{k}) needs {n * k}"
+        )
     return complete_bipartite(n, k)
 
 
@@ -172,6 +177,8 @@ def set_coloring_from_text(text, k):
 
 
 def _set_host(lefts, k):
+    if k < 1:
+        raise ParameterError(f"a set graph needs arity k >= 1, got {k}")
     n = max(lefts, default=0)
     if n < k:
         raise ValidationError(f"coloring file too small for a set graph of arity {k}")
@@ -325,6 +332,49 @@ def certificate_from_text(text):
         claimed_color=claimed,
     )
     return host, coloring, witness
+
+
+# -- DOT rendering -------------------------------------------------------
+
+
+_DOT_COLOR = {Color.RED: "red", Color.BLUE: "blue", None: "black"}
+
+
+def export_dot(graph, coloring=None, witness=None):
+    """Graphviz text for a bipartite graph in the two-column style:
+    lefts in one rank, rights in another, edges red/blue when colored
+    and black otherwise, witness vertices and edges drawn bold."""
+    marked_lefts, marked_rights = set(), set()  # rights by 1-based index
+    if witness is not None:
+        for left in witness.host_left:
+            if not (isinstance(left, int) and 1 <= left <= graph.left_count):
+                raise ValidationError(f"witness references unknown left {left!r}")
+        marked_lefts = set(witness.host_left)
+        marked_rights = {graph.right_index(label) for label in witness.host_right}
+    if coloring is None:
+        edges = ((left, index, None) for left, index, _ in graph.indexed_edges())
+    elif coloring.graph is graph or coloring.graph == graph:
+        edges = coloring.edge_bits()
+    else:
+        raise ValidationError("coloring refers to a different graph")
+
+    lines = ["graph bipartite {", "  rankdir=LR;", "  node [shape=circle];"]
+    # Left x is node Lx labelled x; the right at 1-based index i is node Ri.
+    sides = (("L", graph.lefts, marked_lefts), ("R", graph.right_labels, marked_rights))
+    for side, labels, marked in sides:
+        if labels:
+            lines.append("  { rank=same;")
+            for i, label in enumerate(labels, 1):
+                style = " style=bold penwidth=2" if i in marked else ""
+                lines.append(f'    {side}{i} [label="{_format_label(label)}"{style}];')
+            lines.append("  }")
+    for left, index, bit in edges:
+        attrs = [f"color={_DOT_COLOR[bit]}"]
+        if left in marked_lefts and index in marked_rights:
+            attrs.append("penwidth=2")
+        lines.append(f'  L{left} -- R{index} [{" ".join(attrs)}];')
+    lines.append("}")
+    return "\n".join(lines) + "\n"
 
 
 # -- small file helpers --------------------------------------------------

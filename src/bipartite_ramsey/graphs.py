@@ -14,10 +14,10 @@ An edge 2-coloring is packed: one bit mask per right vertex, in
 right_labels order.  Bit p of a right's mask is the color (RED = 0,
 BLUE = 1) of its edge to its p-th smallest neighbour, counting p from 0;
 a set-membership right X = {z_0 < z_1 < ...} is its own neighbourhood,
-so bit p colors the edge (z_p, X).  The masks are a bytes object when
-every right has at most 8 neighbours (every B_{n,k} with k <= 8) and a
-tuple of ints otherwise.  Both are sequences of ints, so nothing outside
-the EdgeColoring constructor looks at which one it holds.
+so bit p colors the edge (z_p, X).  The masks are a _dense_table, as
+SubsetColoring's values are: bytes when every right has at most 8
+neighbours (every B_{n,k} with k <= 8), else a tuple of ints.  Nothing
+outside the two constructors looks at which one it holds.
 
 Everything here is an immutable value; operations are pure functions and
 safe to call concurrently.
@@ -33,7 +33,7 @@ from dataclasses import dataclass
 from enum import IntEnum
 from functools import cached_property
 from itertools import combinations, permutations
-from operator import ge
+from operator import ge, index as integer
 from typing import Optional
 
 from .errors import BudgetMeter, ValidationError
@@ -271,6 +271,24 @@ def make_graph(left_count, right_labels, edges):
     return BipartiteGraph(left_count, labels, [tuple(sorted(lefts)) for lefts in neighborhoods])
 
 
+def _dense_table(values, low, high):
+    """The integers low..high in values as bytes when high <= 255, else as
+    a tuple; ValidationError for a value that is not one of them.  bytes
+    are range-checked in C and not copied."""
+    try:
+        if type(values) is not bytes or high > 255:  # iter: bytes(5) is five zero bytes
+            values = bytes(iter(values)) if high <= 255 else tuple(map(integer, values))
+        if high <= 255:
+            bad = values.translate(None, bytes(range(low, high + 1)))
+        else:
+            bad = values and not (low <= min(values) and max(values) <= high)
+    except (TypeError, ValueError):  # not an integer, or not a byte
+        bad = True
+    if bad:
+        raise ValidationError(f"values must be integers in {low}..{high}")
+    return values
+
+
 def _bit(neighbors, left):
     """Position of a left among a right's sorted neighbours; ValueError
     when it is not one of them."""
@@ -295,14 +313,10 @@ class EdgeColoring:
     masks: object  # bytes, or a tuple of ints when some right has degree > 8
 
     def __post_init__(self):
-        masks, degree = self.masks, self.graph._max_degree
-        if type(masks) is bytes:  # a C-speed range check, and no copy below
-            out_of_range = masks.translate(None, bytes(range(1 << min(degree, 8))))
-        else:
-            out_of_range = masks and (min(masks) < 0 or max(masks) >> degree)
-        if out_of_range or len(masks) != self.graph.right_count:
-            raise ValidationError("a coloring needs one mask per right, within its degree")
-        object.__setattr__(self, "masks", (bytes if degree <= 8 else tuple)(masks))
+        masks = _dense_table(self.masks, 0, (1 << self.graph._max_degree) - 1)
+        if len(masks) != self.graph.right_count:
+            raise ValidationError("a coloring needs one mask per right")
+        object.__setattr__(self, "masks", masks)
 
     def color_of(self, left, label):
         graph = self.graph

@@ -2,9 +2,10 @@
 
 A SubsetColoring assigns one of palette_size values to every arity-subset
 of {1,...,n}; values are stored densely by the subset's lexicographic
-rank, as bytes when palette_size <= 255 and a tuple otherwise, so lookups
-are O(1).  A vertex set H is homogeneous when all arity-subsets of H get
-the same value (vacuously so when H is smaller than the arity).
+rank (graphs._dense_table: bytes when palette_size <= 255, else a tuple),
+so lookups are O(1).  A vertex set H is homogeneous when all
+arity-subsets of H get the same value (vacuously so when H is smaller
+than the arity).
 
 derive_coloring turns an edge 2-coloring of the set-membership graph
 B_{n,2b-1} into a subset coloring: each (2b-1)-subset X = {z_1 < ... <
@@ -36,7 +37,7 @@ from itertools import combinations, product
 from math import comb
 
 from .errors import BudgetExceededError, BudgetMeter, ParameterError, ValidationError
-from .graphs import BLUE, RED, Color
+from .graphs import BLUE, RED, Color, _dense_table
 from .subsets import k_subsets, subset_rank, subset_unrank, validate_subset
 
 
@@ -50,28 +51,17 @@ class SubsetColoring:
     values: object  # values[r] colors rank r: bytes if palette_size <= 255, else a tuple
 
     def __post_init__(self):
-        values, palette = self.values, self.palette_size
+        palette = self.palette_size
         if self.n < 0 or self.arity < 0 or palette < 1:
             raise ValidationError(
                 f"bad subset-coloring shape (n={self.n}, arity={self.arity}, palette={palette})"
             )
-        try:
-            if type(values) is not bytes or palette > 255:  # bytes are checked in C, not copied
-                values = bytes(values) if palette <= 255 else tuple(map(operator.index, values))
-            if palette <= 255:
-                bad = values.translate(None, bytes(range(1, palette + 1)))
-            else:
-                bad = values and not (1 <= min(values) and max(values) <= palette)
-        except (TypeError, ValueError):  # not an integer, or not a byte
-            bad = True
-        if bad:
-            raise ValidationError(f"palette values must be integers in 1..{palette}")
-        object.__setattr__(self, "values", values)
+        object.__setattr__(self, "values", _dense_table(self.values, 1, palette))
         expected = comb(self.n, self.arity)
-        if len(values) != expected:
+        if len(self.values) != expected:
             raise ValidationError(
                 f"coloring must cover all C({self.n},{self.arity}) = {expected} "
-                f"subsets, got {len(values)} values"
+                f"subsets, got {len(self.values)} values"
             )
 
     def value_of(self, subset):
@@ -139,18 +129,22 @@ def decode_derived(value, b):
     return DerivedColor(color, subset_unrank(rank, 2 * b - 1, b))
 
 
+def _majority(colors, b):
+    """(color, its b smallest 1-based positions in colors) for RED if RED
+    occurs at least b times, else for BLUE, which the caller knows does."""
+    for color in (RED, BLUE):
+        positions = [p for p, c in enumerate(colors, 1) if c is color]
+        if len(positions) >= b:
+            return color, tuple(positions[:b])
+    raise AssertionError(f"no color occurs {b} times in {colors}")
+
+
 def majority_positions(colors, b):
     """(color, positions) for one subset: the color covering >= b of the
     2b-1 incoming edges, and the b smallest positions carrying it."""
     if len(colors) != 2 * b - 1:
         raise ParameterError(f"expected {2 * b - 1} edge colors, got {len(colors)}")
-    red = [p for p, c in enumerate(colors, 1) if c is RED]
-    blue = [p for p, c in enumerate(colors, 1) if c is BLUE]
-    # Counts sum to 2b-1, so exactly one color reaches b.
-    assert (len(red) >= b) != (len(blue) >= b)
-    if len(red) >= b:
-        return DerivedColor(RED, tuple(red[:b]))
-    return DerivedColor(BLUE, tuple(blue[:b]))
+    return DerivedColor(*_majority(colors, b))  # counts sum to 2b-1: one color reaches b
 
 
 def derive_coloring(coloring, b):

@@ -14,7 +14,8 @@ conclusion, so the preconditions here are just the inequalities.
 
 from .constructions import complete_bipartite
 from .errors import ParameterError
-from .graphs import BLUE, RED, InducedCopyWitness
+from .graphs import InducedCopyWitness
+from .hypergraph import _majority
 
 
 def signature_of(coloring, x):
@@ -58,13 +59,8 @@ def extract_monochromatic_complete(coloring, a, b):
     # Pigeonhole: the largest class has at least ceil(n / 2^k) >= a members.
     assert largest * 2**k >= n and largest >= a
 
-    red_positions = [p for p, c in enumerate(signature, 1) if c is RED]
-    color = RED if len(red_positions) >= b else BLUE
-    if color is RED:
-        positions = red_positions[:b]
-    else:
-        positions = [p for p, c in enumerate(signature, 1) if c is BLUE][:b]
-    assert len(positions) == b  # ceil(k / 2) >= b occurrences of the chosen color
+    # ceil(k / 2) >= b positions carry one color; RED is taken when it has b.
+    color, positions = _majority(signature, b)
 
     return InducedCopyWitness(
         pattern=complete_bipartite(a, b),

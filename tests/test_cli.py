@@ -1,9 +1,11 @@
 """The rw command line: subcommands, files, exit codes."""
 
+import os
 import random
 import subprocess
 import sys
 from itertools import combinations
+from pathlib import Path
 
 import pytest
 
@@ -190,9 +192,12 @@ def test_missing_file_is_input_error(capsys):
 
 
 def test_console_script_installed():
+    src = str(Path(__file__).resolve().parent.parent / "src")  # installed or not
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     proc = subprocess.run(
         [sys.executable, "-m", "bipartite_ramsey.cli", "build", "complete", "--n", "2", "--k", "2"],
         capture_output=True,
+        env={**os.environ, "PYTHONPATH": path},
         text=True,
     )
     assert proc.returncode == 0
@@ -216,6 +221,7 @@ def test_extract_induced_reads_find_homogeneous_output_verbatim(tmp_path):
     assert witness.host_left == (2, 4, 6, 8)
 
 
+INPUT = "<the input file>"  # stands for the case's own file in a later argument
 MALFORMED = {
     "graph-left-token": (["dot"], "bipartite 2 2\ne 1 x\n"),
     "graph-negative-rights": (["dot"], "bipartite 2 -1\n"),
@@ -224,6 +230,12 @@ MALFORMED = {
     "subset-not-arity": (["find-homogeneous", "--s", "2"], "subsetcoloring 3 2 2\nsc 1,3,2 1\n"),
     "subset-negative-n": (["find-homogeneous", "--s", "2"], "subsetcoloring -1 2 2\n"),
     "subset-huge-header": (["find-homogeneous", "--s", "2"], "subsetcoloring 100000 50 2\n"),
+    "derive-b-zero": (["derive-coloring", "--b", "0"], "c 1 1 R\n"),
+    "derive-b-negative": (["derive-coloring", "--b", "-1"], "c 1 1 R\n"),
+    "extract-b-zero": (
+        ["extract-induced", "--a", "1", "--b", "0", "--homogeneous", INPUT], "c 1 1 R\n"
+    ),
+    "pattern-no-rights": (["find-induced", INPUT], "bipartite 2 0\n"),
 }
 
 
@@ -231,6 +243,6 @@ MALFORMED = {
 def test_malformed_file_is_input_error(tmp_path, capsys, case):
     command, text = MALFORMED[case]
     path = write(tmp_path / "input.txt", text)
-    assert main([command[0], path, *command[1:]]) == 3
+    assert main([command[0], path, *(path if arg == INPUT else arg for arg in command[1:])]) == 3
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "Traceback" not in err

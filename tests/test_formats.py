@@ -1,5 +1,7 @@
 """Round trips and validation for the text file formats."""
 
+import tracemalloc
+
 import pytest
 
 from bipartite_ramsey import (
@@ -7,6 +9,7 @@ from bipartite_ramsey import (
     RED,
     DerivedColor,
     InducedCopyWitness,
+    ParameterError,
     ValidationError,
     complete_bipartite,
     constant_coloring,
@@ -93,8 +96,26 @@ def test_infer_hosts_from_coloring_files():
     assert infer_set_host(text, 3) == b
     with pytest.raises(ValidationError):
         infer_set_host(text, 5)
+    for k in (0, -1):
+        with pytest.raises(ParameterError):
+            infer_set_host(text, k)
     with pytest.raises(ValidationError):
         infer_complete_host("# empty\n")
+    with pytest.raises(ValidationError):  # K_{3,2} one edge short
+        infer_complete_host(coloring_to_text(constant_coloring(g, RED)).replace("c 3 2 R\n", ""))
+
+
+def test_infer_complete_host_counts_lines_before_building_the_host():
+    # One line naming right 2,000,000 is no total coloring of K_{1,2000000};
+    # it is refused before the host's 2,000,000 rights are allocated.
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValidationError):
+            infer_complete_host("c 1 2000000 R\n")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
 
 
 def test_subset_coloring_round_trip():

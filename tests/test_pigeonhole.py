@@ -90,6 +90,11 @@ def test_extract_never_fails_on_random_colorings():
         assert len(members) >= ceil(n / 2**k) >= 2
         chosen = [c for c in sig if c is w.claimed_color]
         assert len(chosen) >= ceil(k / 2) >= 2
+        # The color is RED when RED reaches b = 2, else BLUE; its b smallest positions.
+        reds = [p for p in range(1, k + 1) if sig[p - 1] is RED]
+        blues = [p for p in range(1, k + 1) if sig[p - 1] is BLUE]
+        expected = (RED, reds[:2]) if len(reds) >= 2 else (BLUE, blues[:2])
+        assert (w.claimed_color, list(w.host_right)) == expected
 
 
 def test_extract_agrees_with_oracle():

@@ -21,6 +21,7 @@ from bipartite_ramsey import (
     EdgeColoring,
     ValidationError,
     coloring_from_map,
+    complete_bipartite,
     constant_coloring,
     k_subsets,
     make_graph,
@@ -397,7 +398,7 @@ def test_mask_range_check():
     assert EdgeColoring(host, masks).masks is masks  # bytes are not copied
     assert EdgeColoring(host, [7] * 10).masks == masks
     for bad in (bytes([8]) + bytes(9), [8] + [0] * 9, [-1] + [0] * 9, [256] + [0] * 9,
-                bytes(9), bytes(11), [0] * 11):
+                bytes(9), bytes(11), [0] * 11, 10):  # bytes(10) would be ten zero masks
         with pytest.raises(ValidationError):
             EdgeColoring(host, bad)
     full = set_bipartite(8, 8)  # one right of degree 8: every byte is in range
@@ -405,6 +406,15 @@ def test_mask_range_check():
     wide = make_graph(9, (1,), {(x, 1) for x in range(1, 10)})  # degree 9: tuple storage
     assert EdgeColoring(wide, bytes([255])).masks == (255,)
     assert EdgeColoring(wide, [511]).masks == (511,)
-    for bad in ([512], [-1], bytes(2)):
+    for bad in ([512], [-1], bytes(2), 1):
         with pytest.raises(ValidationError):
             EdgeColoring(wide, bad)
+
+
+@pytest.mark.parametrize("n, storage", [(8, bytes), (9, tuple)])
+@pytest.mark.parametrize("bad", ["a", 1.0, None])
+def test_non_integer_mask_is_a_validation_error(n, storage, bad):
+    host = complete_bipartite(n, 2)  # two rights of degree n
+    assert type(EdgeColoring(host, [0, 1]).masks) is storage
+    with pytest.raises(ValidationError):
+        EdgeColoring(host, [0, bad])
