@@ -41,17 +41,33 @@ def _budget():
         raise ValidationError(f"RW_BUDGET must be an integer, got {raw!r}")
 
 
-def _emit(text, path):
+def _read(parse, path, *args):
+    """parse(the open UTF-8 text file at path, *args)."""
+    with open(path, encoding="utf-8") as fh:
+        return parse(fh, *args)
+
+
+def _save(chunks, path):
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.writelines(chunks)
+
+
+def _emit(chunks, path):
+    """Write a writer's chunks to path, or to stdout when path is None or
+    '-'.  Every input check is done before this opens the output."""
     if path is None or path == "-":
-        sys.stdout.write(text)
+        sys.stdout.writelines(chunks)
     else:
-        formats.save_text(path, text)
+        _save(chunks, path)
 
 
 def _emit_certificate(args, host, witness, coloring=None):
-    _emit(formats.certificate_to_text(host, witness, coloring), args.output)
+    dot = None
     if getattr(args, "dot", None):
-        formats.save_text(args.dot, formats.export_dot(host, coloring, witness))
+        dot = formats.dot_chunks(host, coloring, witness)  # checks the witness first
+    _emit(formats.certificate_chunks(host, witness, coloring), args.output)
+    if dot is not None:
+        _save(dot, args.dot)
 
 
 def cmd_build(args):
@@ -59,12 +75,12 @@ def cmd_build(args):
         graph = complete_bipartite(args.n, args.k)
     else:
         graph = set_bipartite(args.n, args.k)
-    _emit(formats.graph_to_text(graph), args.output)
+    _emit(formats.graph_chunks(graph), args.output)
     return EXIT_FOUND
 
 
 def cmd_embed(args):
-    pattern = formats.graph_from_text(formats.load_text(args.pattern))
+    pattern = _read(formats.graph_from_text, args.pattern)
     result = embed_into_set_bipartite(pattern)
     host = set_bipartite(result.a, result.b)
     print(f"embedded into B_({result.a},{result.b})", file=sys.stderr)
@@ -73,34 +89,35 @@ def cmd_embed(args):
 
 
 def cmd_extract_complete(args):
-    text = formats.load_text(args.coloring)
-    host = formats.infer_complete_host(text)
-    coloring = formats.coloring_from_text(text, host)
+    with open(args.coloring, encoding="utf-8") as fh:
+        host = formats.infer_complete_host(fh)
+        fh.seek(0)
+        coloring = formats.coloring_from_text(fh, host)
     witness = extract_monochromatic_complete(coloring, args.a, args.b)
     _emit_certificate(args, host, witness, coloring)
     return EXIT_FOUND
 
 
 def cmd_derive_coloring(args):
-    coloring = formats.set_coloring_from_text(formats.load_text(args.coloring), 2 * args.b - 1)
+    coloring = _read(formats.set_coloring_from_text, args.coloring, 2 * args.b - 1)
     derived = derive_coloring(coloring, args.b)
-    _emit(formats.subset_coloring_to_text(derived), args.output)
+    _emit(formats.subset_coloring_chunks(derived), args.output)
     return EXIT_FOUND
 
 
 def cmd_find_homogeneous(args):
-    sc = formats.subset_coloring_from_text(formats.load_text(args.subsetcoloring))
+    sc = _read(formats.subset_coloring_from_text, args.subsetcoloring)
     found = find_homogeneous_set(sc, args.s, budget=_budget())
     if found is None:
         print(f"no homogeneous set of size {args.s}", file=sys.stderr)
         return EXIT_ABSENT
-    _emit(formats.homogeneous_to_text(*found), args.output)
+    _emit([formats.homogeneous_to_text(*found)], args.output)
     return EXIT_FOUND
 
 
 def cmd_extract_induced(args):
-    coloring = formats.set_coloring_from_text(formats.load_text(args.coloring), 2 * args.b - 1)
-    members, value = formats.homogeneous_from_text(formats.load_text(args.homogeneous))
+    coloring = _read(formats.set_coloring_from_text, args.coloring, 2 * args.b - 1)
+    members, value = _read(formats.homogeneous_from_text, args.homogeneous)
     if value is None:
         if len(members) < 2 * args.b - 1:
             raise ParameterError(f"homogeneous set too small: {members}")
@@ -114,9 +131,9 @@ def cmd_extract_induced(args):
 
 
 def cmd_find_induced(args):
-    pattern = formats.graph_from_text(formats.load_text(args.pattern))
+    pattern = _read(formats.graph_from_text, args.pattern)
     k = required_parameters(pattern).k
-    coloring = formats.set_coloring_from_text(formats.load_text(args.coloring), k)
+    coloring = _read(formats.set_coloring_from_text, args.coloring, k)
     witness = find_induced_mono_pattern(pattern, coloring, budget=_budget())
     if witness is None:
         print("no homogeneous set; no witness at this ground-set size", file=sys.stderr)
@@ -126,7 +143,7 @@ def cmd_find_induced(args):
 
 
 def cmd_verify(args):
-    host, coloring, witness = formats.certificate_from_text(formats.load_text(args.certificate))
+    host, coloring, witness = _read(formats.certificate_from_text, args.certificate)
     if verify_witness(host, witness, coloring):
         print("witness OK", file=sys.stderr)
         return EXIT_FOUND
@@ -146,8 +163,7 @@ def cmd_ramsey_number(args):
 
 
 def cmd_params(args):
-    pattern = formats.graph_from_text(formats.load_text(args.pattern))
-    report = required_parameters(pattern)
+    report = required_parameters(_read(formats.graph_from_text, args.pattern))
     for name in ("c", "d", "a", "b", "k", "s", "palette"):
         print(f"{name} {getattr(report, name)}")
     print(f"n {report.n_formula}")
@@ -155,14 +171,14 @@ def cmd_params(args):
 
 
 def cmd_dot(args):
-    graph = formats.graph_from_text(formats.load_text(args.graph))
+    graph = _read(formats.graph_from_text, args.graph)
     coloring = None
     if args.coloring:
-        coloring = formats.coloring_from_text(formats.load_text(args.coloring), graph)
+        coloring = _read(formats.coloring_from_text, args.coloring, graph)
     witness = None
     if args.certificate:
-        _, _, witness = formats.certificate_from_text(formats.load_text(args.certificate))
-    _emit(formats.export_dot(graph, coloring, witness), args.output)
+        _, _, witness = _read(formats.certificate_from_text, args.certificate)
+    _emit(formats.dot_chunks(graph, coloring, witness), args.output)
     return EXIT_FOUND
 
 

@@ -33,8 +33,19 @@ and the mapping, so a certificate file can be checked on its own):
     wright <pattern_right> <host label: int or comma-separated ints>
 
 Blank lines and lines starting with '#' are ignored everywhere.
+
+Every reader takes the text as a str or as an open text file.  Either is
+read in blocks of 64 KiB characters, each split exactly as str.splitlines
+splits, so a file is never held whole: an edge coloring is read into
+three columns (lefts, right indices, color bits) and a certificate in one
+pass.  Every writer is a generator of chunks, one per left for edge lines
+(from BipartiteGraph.edge_rows) and one per batch of lines otherwise;
+each *_to_text (and export_dot) is the join of its generator.
 """
 
+from array import array
+from functools import partial
+from itertools import islice, repeat
 from math import comb
 
 from .constructions import complete_bipartite, set_bipartite
@@ -42,12 +53,35 @@ from .errors import ParameterError, ValidationError
 from .graphs import BipartiteGraph, Color, InducedCopyWitness, pack_coloring, set_graph_arity
 from .hypergraph import SubsetColoring, _rank_table
 
+_BLOCK = 1 << 16  # characters read at a time
+_BATCH = 4096  # lines per chunk where there is no left to chunk by
+_SECTIONS = ("host", "coloring", "pattern", "witness")
 
-def _content_lines(text):
-    for raw in text.splitlines():
-        line = raw.strip()
-        if line and not line.startswith("#"):
-            yield line
+
+def _content_lines(source):
+    """The stripped lines of a str or an open text file that are neither
+    blank nor '#' comments, split exactly as str.splitlines splits."""
+    if isinstance(source, str):
+        blocks = (source[i : i + _BLOCK] for i in range(0, len(source), _BLOCK))
+    else:
+        blocks = iter(partial(source.read, _BLOCK), "")
+    tail = ""
+    for block in blocks:
+        lines = (tail + block).splitlines(True)
+        tail = lines.pop()  # kept with its line break: it may go on in the next block
+        for raw in lines:
+            line = raw.strip()
+            if line and line[0] != "#":
+                yield line
+    line = tail.strip()
+    if line and line[0] != "#":
+        yield line
+
+
+def _batches(items):
+    """Lists of up to _BATCH consecutive items."""
+    items = iter(items)
+    return iter(lambda: list(islice(items, _BATCH)), [])
 
 
 def _int(token, what):
@@ -59,7 +93,7 @@ def _int(token, what):
 
 def _parse_subset(token):
     try:
-        return tuple(int(x) for x in token.split(","))
+        return tuple(map(int, token.split(",")))
     except ValueError:
         raise ValidationError(f"bad subset token {token!r}")
 
@@ -73,107 +107,150 @@ def _format_label(label):
 # -- graphs ------------------------------------------------------------
 
 
+def graph_chunks(graph):
+    """graph_to_text a chunk at a time: header, rlabel lines, each left's e lines."""
+    yield f"bipartite {graph.left_count} {len(graph.right_labels)}\n"
+    for batch in _batches(enumerate(graph.right_labels, 1)):
+        yield "".join([
+            f"rlabel {i} {_format_label(label)}\n" for i, label in batch if isinstance(label, tuple)
+        ])
+    rows, _ = graph.edge_rows()
+    for left, row in enumerate(rows):
+        if row:
+            sep = f"\ne {left} "
+            yield sep[1:] + sep.join(map(str, row)) + "\n"
+
+
 def graph_to_text(graph):
-    lines = [f"bipartite {graph.left_count} {len(graph.right_labels)}"]
-    for idx, label in enumerate(graph.right_labels, 1):
-        if isinstance(label, tuple):
-            lines.append(f"rlabel {idx} {_format_label(label)}")
-    for left, index, _ in graph.indexed_edges():
-        lines.append(f"e {left} {index}")
-    return "\n".join(lines) + "\n"
+    return "".join(graph_chunks(graph))
 
 
-def graph_from_text(text):
-    lines = list(_content_lines(text))
-    return _parse_graph(lines)
+def graph_from_text(source):
+    return _read_graph(_content_lines(source))[0]
 
 
-def _parse_graph(lines):
-    if not lines or not lines[0].startswith("bipartite"):
+def _read_graph(lines, sections=()):
+    """(graph, the line that ended it or None) from content lines: the
+    header, then rlabel and e lines up to one whose first word is in sections."""
+    header = next(lines, "")
+    if not header.startswith("bipartite"):
         raise ValidationError("graph text must start with a 'bipartite' header")
-    header = lines[0].split()
-    if len(header) != 3:
-        raise ValidationError(f"bad graph header {lines[0]!r}")
-    left_count, right_count = _int(header[1], "left count"), _int(header[2], "right count")
+    fields = header.split()
+    if len(fields) != 3:
+        raise ValidationError(f"bad graph header {header!r}")
+    left_count, right_count = _int(fields[1], "left count"), _int(fields[2], "right count")
     if left_count < 0 or right_count < 0:
-        raise ValidationError(f"bad graph header {lines[0]!r}: negative vertex count")
+        raise ValidationError(f"bad graph header {header!r}: negative vertex count")
     labels = list(range(1, right_count + 1))
     neighborhoods = [[] for _ in labels]  # lefts per right, as read
-    for line in lines[1:]:
+    for line in lines:
         parts = line.split()
-        if parts[0] == "rlabel" and len(parts) == 3:
-            idx = _int(parts[1], "rlabel index")
-            if not 1 <= idx <= right_count:
-                raise ValidationError(f"rlabel index {idx} out of range")
-            labels[idx - 1] = _parse_subset(parts[2])
-        elif parts[0] == "e" and len(parts) == 3:
+        if parts[0] == "e" and len(parts) == 3:
             left, idx = _int(parts[1], "left"), _int(parts[2], "right index")
             if not 1 <= idx <= right_count:
                 raise ValidationError(f"edge right index {idx} out of range")
             neighborhoods[idx - 1].append(left)
+        elif parts[0] == "rlabel" and len(parts) in (2, 3):  # the empty subset has no field
+            idx = _int(parts[1], "rlabel index")
+            if not 1 <= idx <= right_count:
+                raise ValidationError(f"rlabel index {idx} out of range")
+            labels[idx - 1] = _parse_subset(parts[2]) if len(parts) == 3 else ()
+        elif parts[0] in sections:
+            break
         else:
             raise ValidationError(f"unrecognized graph line {line!r}")
+    else:
+        line = None
     labels = tuple(labels)
     neighborhoods = tuple(tuple(sorted(set(lefts))) for lefts in neighborhoods)  # drop repeats
     k = set_graph_arity(left_count, labels, neighborhoods)
     if k:  # text that is exactly B_{n,k} reads as the lazy host
-        return set_bipartite(left_count, k)
-    return BipartiteGraph(left_count, labels, neighborhoods)
+        return set_bipartite(left_count, k), line
+    return BipartiteGraph(left_count, labels, neighborhoods), line
 
 
 # -- edge colorings ----------------------------------------------------
 
 
+_LETTER = (" R", " B")  # by color bit
+
+
+def coloring_chunks(coloring):
+    """coloring_to_text a chunk at a time: each left's c lines."""
+    graph = coloring.graph
+    if not graph.edge_count:
+        yield "\n"  # an edgeless coloring's text is one empty line
+    rows, bits = graph.edge_rows(coloring.masks)
+    for left, row in enumerate(rows):
+        if row:
+            sep = f"\nc {left} "
+            lines = map(str.__add__, map(str, row), map(_LETTER.__getitem__, bits[left]))
+            yield sep[1:] + sep.join(lines) + "\n"
+
+
 def coloring_to_text(coloring):
-    lines = [f"c {left} {index} {'RB'[bit]}" for left, index, bit in coloring.edge_bits()]
-    return "\n".join(lines) + "\n"
+    return "".join(coloring_chunks(coloring))
 
 
-_COLOR_OF_LETTER = {color.letter: color for color in Color}
+_BIT_OF_LETTER = {"R": 0, "B": 1}
 
 
-def _coloring_lines(lines):
-    """(left, right index, color) per content line of an edge coloring."""
-    # Fields are converted inline, not through _int: files run to 10^5+ lines.
+def _read_coloring(lines, sections=()):
+    """((lefts, right indices, color bits), the line that ended them or
+    None): the c lines of an edge coloring as two array('i') columns and a
+    bytearray, up to a line whose first word is in sections."""
+    lefts, rights, bits = array("i"), array("i"), bytearray()
+    add_left, add_right, add_bit = lefts.append, rights.append, bits.append
+    # Fields are converted inline, not through _int: files run to 10^6+ lines.
     for line in lines:
         parts = line.split()
         if len(parts) != 4 or parts[0] != "c":
+            if parts[0] in sections:
+                return (lefts, rights, bits), line
             raise ValidationError(f"unrecognized coloring line {line!r}")
         try:
-            left, index, color = int(parts[1]), int(parts[2]), _COLOR_OF_LETTER[parts[3]]
+            add_left(int(parts[1]))
+            add_right(int(parts[2]))
+            add_bit(_BIT_OF_LETTER[parts[3]])
         except (KeyError, ValueError):
             raise ValidationError(f"bad coloring line {line!r}: need integers and R or B")
-        yield left, index, color
+        except OverflowError:
+            raise ValidationError(f"bad coloring line {line!r}: vertex index out of range")
+    return (lefts, rights, bits), None
 
 
-def coloring_from_text(text, graph):
-    return pack_coloring(graph, _coloring_lines(_content_lines(text)))  # validates totality
+def coloring_from_text(source, graph):
+    columns, _ = _read_coloring(_content_lines(source))
+    return pack_coloring(graph, zip(*columns))  # validates totality
 
 
-def infer_complete_host(text):
+def infer_complete_host(source):
     """Reconstruct K_{n,k} from a total coloring file of a complete host;
     the line count is checked before the host is built."""
-    n = k = count = 0
-    for left, index, _ in _coloring_lines(_content_lines(text)):
-        n, k, count = max(n, left), max(k, index), count + 1
-    if n < 1 or k < 1:
+    (lefts, rights, _), _ = _read_coloring(_content_lines(source))
+    if not lefts:
         raise ValidationError("coloring file contains no coloring lines")
-    if count != n * k:
+    for what, column in (("left", lefts), ("right index", rights)):
+        if min(column) < 1:
+            raise ValidationError(f"coloring {what} {min(column)} is below 1")
+    n, k = max(lefts), max(rights)
+    if len(lefts) != n * k:
         raise ValidationError(
-            f"coloring has {count} lines, a total coloring of K_({n},{k}) needs {n * k}"
+            f"coloring has {len(lefts)} lines, a total coloring of K_({n},{k}) needs {n * k}"
         )
     return complete_bipartite(n, k)
 
 
-def infer_set_host(text, k):
+def infer_set_host(source, k):
     """Reconstruct B_{n,k} from a total coloring file of a set-membership host."""
-    return _set_host([left for left, _, _ in _coloring_lines(_content_lines(text))], k)
+    (lefts, _, _), _ = _read_coloring(_content_lines(source))
+    return _set_host(lefts, k)
 
 
-def set_coloring_from_text(text, k):
+def set_coloring_from_text(source, k):
     """The coloring of B_{n,k} in a total coloring file, parsed in one pass."""
-    colored = list(_coloring_lines(_content_lines(text)))
-    return pack_coloring(_set_host([left for left, _, _ in colored], k), colored)
+    columns, _ = _read_coloring(_content_lines(source))
+    return pack_coloring(_set_host(columns[0], k), zip(*columns))
 
 
 def _set_host(lefts, k):
@@ -193,31 +270,35 @@ def _set_host(lefts, k):
 # -- subset colorings ---------------------------------------------------
 
 
+def subset_coloring_chunks(sc):
+    """subset_coloring_to_text a chunk at a time: header, then batches of sc lines."""
+    yield f"subsetcoloring {sc.n} {sc.arity} {sc.palette_size}\n"
+    for batch in _batches(sc.items()):
+        yield "".join([f"sc {','.join(map(str, subset))} {value}\n" for subset, value in batch])
+
+
 def subset_coloring_to_text(sc):
-    lines = [f"subsetcoloring {sc.n} {sc.arity} {sc.palette_size}"]
-    for subset, value in sc.items():
-        lines.append(f"sc {_format_label(subset)} {value}")
-    return "\n".join(lines) + "\n"
+    return "".join(subset_coloring_chunks(sc))
 
 
-def subset_coloring_from_text(text):
-    lines = list(_content_lines(text))
-    if not lines or not lines[0].startswith("subsetcoloring"):
+def subset_coloring_from_text(source):
+    lines = _content_lines(source)
+    header = next(lines, "")
+    if not header.startswith("subsetcoloring"):
         raise ValidationError("subset-coloring text must start with a 'subsetcoloring' header")
-    header = lines[0].split()
-    if len(header) != 4:
-        raise ValidationError(f"bad subset-coloring header {lines[0]!r}")
-    n, arity, palette = (_int(x, "subset-coloring header field") for x in header[1:])
-    values = _rank_table(n, arity, _subset_values(lines[1:]), len(lines) - 1)
-    return SubsetColoring(n, arity, palette, values)
+    fields = header.split()
+    if len(fields) != 4:
+        raise ValidationError(f"bad subset-coloring header {header!r}")
+    n, arity, palette = (_int(x, "subset-coloring header field") for x in fields[1:])
+    return SubsetColoring(n, arity, palette, _rank_table(n, arity, _subset_values(lines)))
 
 
 def _subset_values(lines):
     for line in lines:
         parts = line.split()
-        if len(parts) != 3 or parts[0] != "sc":
+        if len(parts) not in (2, 3) or parts[0] != "sc":  # the empty subset has no field
             raise ValidationError(f"unrecognized subset-coloring line {line!r}")
-        yield _parse_subset(parts[1]), _int(parts[2], "subset value")
+        yield _parse_subset(parts[1]) if len(parts) == 3 else (), _int(parts[-1], "subset value")
 
 
 # -- homogeneous sets ----------------------------------------------------
@@ -228,12 +309,14 @@ def homogeneous_to_text(vertices, value):
     return text + (f"value {value}\n" if value is not None else "")
 
 
-def homogeneous_from_text(text):
+def homogeneous_from_text(source):
     """(sorted members, palette value or None) from homogeneous-set text."""
     members = set()
     value = None
-    for line in _content_lines(text):
+    for line in _content_lines(source):
         tokens = line.replace(",", " ").split()
+        if not tokens:
+            raise ValidationError(f"bad homogeneous-set line {line!r}")
         if tokens[0] == "value":
             if len(tokens) != 2 or value is not None:
                 raise ValidationError(f"bad value line {line!r}")
@@ -248,69 +331,58 @@ def homogeneous_from_text(text):
 # -- witness certificates -----------------------------------------------
 
 
-def certificate_to_text(host, witness, coloring=None):
-    parts = ["host\n", graph_to_text(host)]
+def certificate_chunks(host, witness, coloring=None):
+    """certificate_to_text a chunk at a time."""
+    yield "host\n"
+    yield from graph_chunks(host)
     if coloring is not None:
-        parts.append("coloring\n")
-        parts.append(coloring_to_text(coloring))
-    parts.append("pattern\n")
-    parts.append(graph_to_text(witness.pattern))
+        yield "coloring\n"
+        yield from coloring_chunks(coloring)
+    yield "pattern\n"
+    yield from graph_chunks(witness.pattern)
     claimed = witness.claimed_color.letter if witness.claimed_color is not None else "-"
-    parts.append(f"witness {claimed}\n")
-    for i, host_left in enumerate(witness.host_left, 1):
-        parts.append(f"wleft {i} {host_left}\n")
-    for j, label in enumerate(witness.host_right, 1):
-        parts.append(f"wright {j} {_format_label(label)}\n")
-    return "".join(parts)
+    yield f"witness {claimed}\n"
+    yield "".join(f"wleft {i} {host_left}\n" for i, host_left in enumerate(witness.host_left, 1))
+    yield "".join(
+        f"wright {j} {_format_label(label)}\n" for j, label in enumerate(witness.host_right, 1)
+    )
 
 
-def certificate_from_text(text):
-    """Parse a certificate; returns (host, coloring_or_None, witness)."""
+def certificate_to_text(host, witness, coloring=None):
+    return "".join(certificate_chunks(host, witness, coloring))
+
+
+def certificate_from_text(source):
+    """Parse a certificate in one pass; returns (host, coloring_or_None, witness).
+    Each section's lines go straight to its parser; none is kept as text."""
+    lines = _content_lines(source)
     sections = {}
-    current = None
     claimed = None
-    for line in _content_lines(text):
-        first = line.split()[0]
-        if first in ("host", "coloring", "pattern", "witness"):
-            if first in sections:
-                raise ValidationError(f"duplicate certificate section {first!r}")
-            if first == "witness":
-                parts = line.split()
-                if len(parts) != 2 or parts[1] not in ("R", "B", "-"):
-                    raise ValidationError(f"bad witness section header {line!r}")
-                claimed = None if parts[1] == "-" else Color.from_letter(parts[1])
-            current = first
-            sections[current] = []
-            continue
-        if current is None:
+    line = next(lines, None)
+    while line is not None:
+        parts = line.split()
+        first = parts[0]
+        if first not in _SECTIONS:  # only the first line can be outside a section
             raise ValidationError(f"certificate line {line!r} outside any section")
-        sections[current].append(line)
+        if first in sections:
+            raise ValidationError(f"duplicate certificate section {first!r}")
+        if first == "coloring":
+            sections[first], line = _read_coloring(lines, _SECTIONS)
+        elif first == "witness":
+            if len(parts) != 2 or parts[1] not in ("R", "B", "-"):
+                raise ValidationError(f"bad witness section header {line!r}")
+            claimed = None if parts[1] == "-" else Color.from_letter(parts[1])
+            sections[first], line = _read_witness(lines)
+        else:
+            sections[first], line = _read_graph(lines, _SECTIONS)
     for required in ("host", "pattern", "witness"):
         if required not in sections:
             raise ValidationError(f"certificate is missing the {required!r} section")
 
-    host = _parse_graph(sections["host"])
-    pattern = _parse_graph(sections["pattern"])
+    host, pattern, (lefts, rights) = sections["host"], sections["pattern"], sections["witness"]
     coloring = None
     if "coloring" in sections:
-        coloring = pack_coloring(host, _coloring_lines(sections["coloring"]))
-
-    lefts = {}
-    rights = {}
-    for line in sections["witness"]:
-        parts = line.split()
-        if len(parts) != 3 or parts[0] not in ("wleft", "wright"):
-            raise ValidationError(f"unrecognized witness line {line!r}")
-        index = _int(parts[1], "witness index")
-        if parts[0] == "wleft":
-            if index in lefts:
-                raise ValidationError(f"duplicate wleft {index}")
-            lefts[index] = _int(parts[2], "witness left")
-        else:
-            if index in rights:
-                raise ValidationError(f"duplicate wright {index}")
-            token = parts[2]
-            rights[index] = _parse_subset(token) if "," in token else _int(token, "witness right")
+        coloring = pack_coloring(host, zip(*sections["coloring"]))
     if sorted(lefts) != list(range(1, pattern.left_count + 1)):
         raise ValidationError("wleft lines must cover pattern lefts 1..c exactly")
     if sorted(rights) != list(range(1, len(pattern.right_labels) + 1)):
@@ -334,16 +406,42 @@ def certificate_from_text(text):
     return host, coloring, witness
 
 
+def _read_witness(lines):
+    """(({pattern left: host left}, {pattern right: host label}), the line
+    that ended them or None) from wleft and wright lines."""
+    lefts, rights = {}, {}
+    for line in lines:
+        parts = line.split()
+        if parts[0] in _SECTIONS:
+            return (lefts, rights), line
+        if len(parts) != 3 or parts[0] not in ("wleft", "wright"):
+            raise ValidationError(f"unrecognized witness line {line!r}")
+        index = _int(parts[1], "witness index")
+        if parts[0] == "wleft":
+            if index in lefts:
+                raise ValidationError(f"duplicate wleft {index}")
+            lefts[index] = _int(parts[2], "witness left")
+        else:
+            if index in rights:
+                raise ValidationError(f"duplicate wright {index}")
+            token = parts[2]
+            rights[index] = _parse_subset(token) if "," in token else _int(token, "witness right")
+    return (lefts, rights), None
+
+
 # -- DOT rendering -------------------------------------------------------
-
-
-_DOT_COLOR = {Color.RED: "red", Color.BLUE: "blue", None: "black"}
 
 
 def export_dot(graph, coloring=None, witness=None):
     """Graphviz text for a bipartite graph in the two-column style:
     lefts in one rank, rights in another, edges red/blue when colored
     and black otherwise, witness vertices and edges drawn bold."""
+    return "".join(dot_chunks(graph, coloring, witness))
+
+
+def dot_chunks(graph, coloring=None, witness=None):
+    """export_dot a chunk at a time.  The witness and the coloring are
+    checked here, before the first chunk is asked for."""
     marked_lefts, marked_rights = set(), set()  # rights by 1-based index
     if witness is not None:
         for left in witness.host_left:
@@ -351,30 +449,34 @@ def export_dot(graph, coloring=None, witness=None):
                 raise ValidationError(f"witness references unknown left {left!r}")
         marked_lefts = set(witness.host_left)
         marked_rights = {graph.right_index(label) for label in witness.host_right}
-    if coloring is None:
-        edges = ((left, index, None) for left, index, _ in graph.indexed_edges())
-    elif coloring.graph is graph or coloring.graph == graph:
-        edges = coloring.edge_bits()
-    else:
+    if coloring is not None and coloring.graph is not graph and coloring.graph != graph:
         raise ValidationError("coloring refers to a different graph")
+    return _dot_chunks(graph, coloring, marked_lefts, marked_rights)
 
-    lines = ["graph bipartite {", "  rankdir=LR;", "  node [shape=circle];"]
+
+def _dot_chunks(graph, coloring, marked_lefts, marked_rights):
+    yield "graph bipartite {\n  rankdir=LR;\n  node [shape=circle];\n"
     # Left x is node Lx labelled x; the right at 1-based index i is node Ri.
     sides = (("L", graph.lefts, marked_lefts), ("R", graph.right_labels, marked_rights))
     for side, labels, marked in sides:
         if labels:
-            lines.append("  { rank=same;")
-            for i, label in enumerate(labels, 1):
-                style = " style=bold penwidth=2" if i in marked else ""
-                lines.append(f'    {side}{i} [label="{_format_label(label)}"{style}];')
-            lines.append("  }")
-    for left, index, bit in edges:
-        attrs = [f"color={_DOT_COLOR[bit]}"]
-        if left in marked_lefts and index in marked_rights:
-            attrs.append("penwidth=2")
-        lines.append(f'  L{left} -- R{index} [{" ".join(attrs)}];')
-    lines.append("}")
-    return "\n".join(lines) + "\n"
+            yield "  { rank=same;\n"
+            for batch in _batches(enumerate(labels, 1)):
+                yield "".join([
+                    f'    {side}{i} [label="{_format_label(label)}"'
+                    f'{" style=bold penwidth=2" if i in marked else ""}];\n'
+                    for i, label in batch
+                ])
+            yield "  }\n"
+    rows, bits = graph.edge_rows(None if coloring is None else coloring.masks)
+    for left, row in enumerate(rows):
+        colors = repeat("black") if bits is None else map(("red", "blue").__getitem__, bits[left])
+        bold = marked_rights if left in marked_lefts else ()
+        yield "".join([
+            f"  L{left} -- R{i} [color={color}{' penwidth=2' if i in bold else ''}];\n"
+            for i, color in zip(row, colors)
+        ])
+    yield "}\n"
 
 
 # -- small file helpers --------------------------------------------------

@@ -27,12 +27,14 @@ oracle: deliberately unclever, exhaustive over injective vertex maps, and
 trusted by the rest of the package as ground truth at desk scale.
 """
 
+from array import array
 from bisect import bisect_left
+from collections import Counter
 from collections.abc import Set
 from dataclasses import dataclass
 from enum import IntEnum
 from functools import cached_property
-from itertools import combinations, permutations
+from itertools import chain, combinations, permutations
 from operator import ge, index as integer
 from typing import Optional
 
@@ -214,19 +216,29 @@ class BipartiteGraph:
     def sorted_edges(self):
         """Edges ordered by (left, right position); the canonical order."""
         labels = tuple(self.right_labels)  # one pass, not one unrank per edge
-        return [(left, labels[index - 1]) for left, index, _ in self.indexed_edges()]
+        return [(left, labels[i - 1]) for left, row in enumerate(self.edge_rows()[0]) for i in row]
 
-    def indexed_edges(self):
-        """(left, 1-based right index, p) per edge in the canonical order,
-        where left is the right's p-th smallest neighbour (from 0).  Edges
-        are bucketed by left from the neighbour lists, not sorted."""
-        rows = [[] for _ in range(self.left_count + 1)]
-        for index, lefts in enumerate(self.neighborhoods, 1):
-            for p, left in enumerate(lefts):
-                rows[left].append((index, p))
-        for left, row in enumerate(rows):
-            for index, p in row:
-                yield left, index, p
+    def edge_rows(self, masks=None):
+        """The canonical edge order, left by left, from one pass over the
+        rights in index order: rows[left] is an array('i') of the 1-based
+        indices of that left's rights, increasing (rows[0] is empty).  Given
+        masks, one per right as an EdgeColoring holds them, bits[left] is a
+        bytearray of the color bits of those edges; else bits is None."""
+        rows = [array("i") for _ in range(self.left_count + 1)]
+        add = [row.append for row in rows]
+        if masks is None:
+            for index, lefts in enumerate(self.neighborhoods, 1):
+                for left in lefts:
+                    add[left](index)
+            return rows, None
+        bits = [bytearray() for _ in rows]
+        add_bit = [row.append for row in bits]
+        for index, (lefts, mask) in enumerate(zip(self.neighborhoods, masks), 1):
+            for left in lefts:
+                add[left](index)
+                add_bit[left](mask & 1)
+                mask >>= 1
+        return rows, bits
 
     def is_complete(self):
         return self.edge_count == self.left_count * len(self.right_labels)
@@ -326,13 +338,6 @@ class EdgeColoring:
         except (TypeError, ValueError):
             raise ValidationError(f"no edge ({left}, {label!r}) in the colored graph")
 
-    def edge_bits(self):
-        """(left, 1-based right index, color bit) per edge in the canonical
-        edge order; the bit is 0 for RED and 1 for BLUE."""
-        masks = self.masks
-        for left, index, p in self.graph.indexed_edges():
-            yield left, index, masks[index - 1] >> p & 1
-
     def __eq__(self, other):
         if not isinstance(other, EdgeColoring):
             return NotImplemented
@@ -398,10 +403,20 @@ def coloring_from_map(graph, mapping):
 
 
 def random_coloring(graph, rng):
-    """Independent fair RED/BLUE choice per edge, in canonical edge order."""
-    masks = [0] * graph.right_count
-    for _, index, p in graph.indexed_edges():
-        masks[index - 1] |= (rng.random() >= 0.5) << p  # BLUE is bit 1
+    """Independent fair RED/BLUE choice per edge, in canonical edge order.
+    Each left's draws are one row of bits; one pass over the rights then
+    takes each edge's bit from its left's row at that left's cursor."""
+    degrees = Counter(chain.from_iterable(graph.neighborhoods))
+    rows = [bytes(map((0.5).__le__, [rng.random() for _ in range(degrees[left])]))
+            for left in range(graph.left_count + 1)]  # BLUE is bit 1
+    cursor = [0] * len(rows)
+    masks = []
+    for lefts in graph.neighborhoods:
+        mask = 0
+        for p, left in enumerate(lefts):
+            mask |= rows[left][cursor[left]] << p
+            cursor[left] += 1
+        masks.append(mask)
     return EdgeColoring(graph, masks)
 
 

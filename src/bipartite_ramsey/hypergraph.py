@@ -32,6 +32,7 @@ astronomically out of reach.  Only micro parameters terminate.
 """
 
 import operator
+from array import array
 from dataclasses import dataclass
 from itertools import combinations, product
 from math import comb
@@ -76,25 +77,31 @@ class SubsetColoring:
     @classmethod
     def from_map(cls, n, arity, palette_size, mapping):
         """Build from a {subset: value} dict; must be total."""
-        return cls(n, arity, palette_size, _rank_table(n, arity, mapping.items(), len(mapping)))
+        return cls(n, arity, palette_size, _rank_table(n, arity, mapping.items()))
 
 
-def _rank_table(n, arity, pairs, count):
-    """Values by subset rank from count (subset, value) pairs naming each
-    arity-subset of [n] once; the shape is checked before allocating."""
+def _rank_table(n, arity, pairs):
+    """Values by subset rank from (subset, value) pairs naming each
+    arity-subset of [n] once.  Ranks and values are read into columns
+    first, so the table is allocated only once their count is right."""
     if n < 0 or arity < 0:
         raise ValidationError(f"bad subset-coloring shape (n={n}, arity={arity})")
-    if count != comb(n, arity):
-        raise ValidationError(
-            f"coloring must cover all C({n},{arity}) = {comb(n, arity)} subsets, got {count}"
-        )
-    values = [None] * count
+    total = comb(n, arity)
+    # A rank past 2**63 - 1 fits no 'q' slot; a table that large is never total.
+    ranks, values = array("q") if total < 1 << 63 else [], []
     for subset, value in pairs:
-        r = subset_rank(validate_subset(subset, n, arity), n)
-        if values[r] is not None:
-            raise ValidationError(f"duplicate subset {subset}")
-        values[r] = value
-    return values  # count distinct ranks of C(n, arity) fill every slot
+        ranks.append(subset_rank(validate_subset(subset, n, arity), n))
+        values.append(value)
+    if len(ranks) != total:
+        raise ValidationError(
+            f"coloring must cover all C({n},{arity}) = {total} subsets, got {len(ranks)}"
+        )
+    table = [None] * total
+    for r, value in zip(ranks, values):
+        if table[r] is not None:
+            raise ValidationError(f"duplicate subset {subset_unrank(r, n, arity)}")
+        table[r] = value
+    return table  # total distinct ranks fill every slot
 
 
 @dataclass(frozen=True)

@@ -11,6 +11,7 @@ import pytest
 
 from bipartite_ramsey import (
     RED,
+    InducedCopyWitness,
     SubsetColoring,
     complete_bipartite,
     constant_coloring,
@@ -20,6 +21,7 @@ from bipartite_ramsey import (
 from bipartite_ramsey.cli import main
 from bipartite_ramsey.formats import (
     certificate_from_text,
+    certificate_to_text,
     coloring_to_text,
     graph_to_text,
     subset_coloring_from_text,
@@ -187,6 +189,17 @@ def test_dot_subcommand(tmp_path, capsys):
     assert out.count(" -- ") == 12
 
 
+def test_input_error_writes_no_output(tmp_path, capsys):
+    graph = write(tmp_path / "g.txt", graph_to_text(complete_bipartite(2, 2)))
+    pattern = complete_bipartite(1, 1)
+    outside = InducedCopyWitness(pattern, (3,), (1,))  # left 3 is not in K_{2,2}
+    cert = write(tmp_path / "cert.txt", certificate_to_text(complete_bipartite(3, 1), outside))
+    out = tmp_path / "out.dot"
+    assert main(["dot", graph, "--certificate", cert, "-o", str(out)]) == 3
+    assert "unknown left 3" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_missing_file_is_input_error(capsys):
     assert main(["params", "/no/such/file.txt"]) == 3
 
@@ -211,13 +224,13 @@ def test_extract_induced_reads_find_homogeneous_output_verbatim(tmp_path):
     scfile, homfile, cert = (str(tmp_path / name) for name in ("sc.txt", "hom.txt", "cert.txt"))
     assert main(["derive-coloring", colfile, "--b", "2", "-o", scfile]) == 0
     assert main(["find-homogeneous", scfile, "--s", "9", "-o", homfile]) == 0
-    assert open(homfile).read().splitlines()[1].startswith("value ")
+    assert Path(homfile).read_text().splitlines()[1].startswith("value ")
     code = main(
         ["extract-induced", colfile, "--a", "4", "--b", "2", "--homogeneous", homfile, "-o", cert]
     )
     assert code == 0
     assert main(["verify", cert]) == 0
-    _, _, witness = certificate_from_text(open(cert).read())
+    _, _, witness = certificate_from_text(Path(cert).read_text())
     assert witness.host_left == (2, 4, 6, 8)
 
 

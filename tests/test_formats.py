@@ -84,6 +84,11 @@ def test_coloring_totality_and_duplicates():
         )  # duplicate line
     with pytest.raises(ValidationError):
         coloring_from_text("c 1 1 G\nc 1 2 R\nc 2 1 R\nc 2 2 R\n", g)
+    for huge in ("c 1 4294967296 R\n", "c -4294967296 1 R\n"):  # past a 4-byte column
+        with pytest.raises(ValidationError, match="out of range"):
+            coloring_from_text(huge, g)
+        with pytest.raises(ValidationError, match="out of range"):
+            infer_complete_host(huge)
 
 
 def test_infer_hosts_from_coloring_files():
@@ -103,6 +108,13 @@ def test_infer_hosts_from_coloring_files():
         infer_complete_host("# empty\n")
     with pytest.raises(ValidationError):  # K_{3,2} one edge short
         infer_complete_host(coloring_to_text(constant_coloring(g, RED)).replace("c 3 2 R\n", ""))
+    for text, message in (
+        ("c 0 5 R\n", "coloring left 0 is below 1"),
+        ("c 1 1 R\nc 2 -3 B\n", "coloring right index -3 is below 1"),
+        ("# no lines\n\n", "coloring file contains no coloring lines"),
+    ):
+        with pytest.raises(ValidationError, match=f"^{message}$"):
+            infer_complete_host(text)
 
 
 def test_infer_complete_host_counts_lines_before_building_the_host():

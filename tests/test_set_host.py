@@ -32,6 +32,8 @@ from bipartite_ramsey import formats
 from bipartite_ramsey.formats import (
     certificate_from_text,
     coloring_from_text,
+    coloring_to_text,
+    export_dot,
     graph_from_text,
     graph_to_text,
 )
@@ -211,7 +213,10 @@ def test_generic_graphs_match_a_plain_edge_set():
         assert graph.edges == frozenset(edges) and frozenset(edges) == graph.edges
         assert graph.edge_count == len(graph.edges) == len(edges)
         assert all(graph.neighbors(label) == neighbors[label] for label in labels)
-        assert list(graph.indexed_edges()) == indexed
+        assert [(x, r) for x, row in enumerate(graph.edge_rows()[0]) for r in row] == [
+            (x, r) for x, r, _ in indexed
+        ]
+        assert list(indexed_edges(graph)) == indexed
         assert graph.membership_arity == arity
         assert all(graph.has_edge(x, y) == ((x, y) in edges) for x in range(7) for y in labels)
         assert all((x, y, 0) not in graph.edges and [x, y] not in graph.edges for x, y in edges)
@@ -260,6 +265,86 @@ def test_packers_agree_on_lazy_and_explicit_hosts(n, k):
             assert coloring_from_map(explicit, mapping).masks == expected, order
             assert coloring_from_text(text, lazy).masks == expected, order
             assert coloring_from_text(text, explicit).masks == expected, order
+
+
+# -- per-left edge rows against the bucketing they replaced --------------------
+
+
+def indexed_edges(graph):
+    """(left, 1-based right index, p) per edge in the canonical order, where
+    left is the right's p-th smallest neighbour: the writers' old bucketing
+    of one tuple per edge by left, kept as the reference for edge_rows."""
+    rows = [[] for _ in range(graph.left_count + 1)]
+    for index, lefts in enumerate(graph.neighborhoods, 1):
+        for p, left in enumerate(lefts):
+            rows[left].append((index, p))
+    for left, row in enumerate(rows):
+        for index, p in row:
+            yield left, index, p
+
+
+def bucketed_random_masks(graph, rng):
+    """random_coloring as it was: one draw per edge in indexed_edges order."""
+    masks = [0] * graph.right_count
+    for _, index, p in indexed_edges(graph):
+        masks[index - 1] |= (rng.random() >= 0.5) << p
+    return masks
+
+
+def bucketed_texts(graph, masks):
+    """graph_to_text, coloring_to_text and export_dot's edge lines as they
+    were written from indexed_edges, one line list each."""
+    bits = [(x, r, masks[r - 1] >> p & 1) for x, r, p in indexed_edges(graph)]
+    graph_lines = [f"bipartite {graph.left_count} {graph.right_count}"]
+    graph_lines += [
+        f"rlabel {r} {','.join(map(str, label))}"
+        for r, label in enumerate(graph.right_labels, 1)
+        if isinstance(label, tuple)
+    ]
+    graph_lines += [f"e {x} {r}" for x, r, _ in bits]
+    coloring_lines = [f"c {x} {r} {'RB'[bit]}" for x, r, bit in bits]
+    dot_edges = [f"  L{x} -- R{r} [color={('red', 'blue')[bit]}];" for x, r, bit in bits]
+    return "\n".join(graph_lines) + "\n", "\n".join(coloring_lines) + "\n", dot_edges
+
+
+def edge_row_graphs():
+    rng = random.Random(16)
+    graphs = [complete_bipartite(3, 4), make_graph(0, (), ()), make_graph(3, (5, 1), ())]
+    for _ in range(30):
+        left_count = rng.randint(1, 7)
+        subsets = [X for k in range(1, left_count + 1) for X in k_subsets(left_count, k)]
+        for labels in (
+            rng.sample(range(1, 12), rng.randint(0, 8)),  # int labels in any order
+            sorted(rng.sample(subsets, min(len(subsets), rng.randint(1, 8)))),
+        ):
+            edges = [(x, y) for x in range(1, left_count + 1) for y in labels if rng.random() < 0.4]
+            graphs.append(make_graph(left_count, labels, edges))
+    for n, k in PARITY_SIZES:
+        graphs += [set_bipartite(n, k), explicit_host(n, k)]
+    return graphs
+
+
+def test_edge_rows_match_the_bucketing_reference():
+    for graph in edge_row_graphs():
+        reference = list(indexed_edges(graph))
+        rows, no_bits = graph.edge_rows()
+        assert no_bits is None and len(rows) == graph.left_count + 1 and not rows[0]
+        flat = [(x, r) for x, row in enumerate(rows) for r in row]
+        assert flat == [(x, r) for x, r, _ in reference]
+        assert graph.sorted_edges() == [(x, graph.right_labels[r - 1]) for x, r in flat]
+        for seed in range(2):
+            coloring = random_coloring(graph, random.Random(seed))
+            masks = coloring.masks
+            assert list(masks) == bucketed_random_masks(graph, random.Random(seed))
+            rows, bits = graph.edge_rows(masks)
+            assert [(x, r, bit) for x, row in enumerate(rows) for r, bit in zip(row, bits[x])] == [
+                (x, r, masks[r - 1] >> p & 1) for x, r, p in reference
+            ]
+            graph_text, coloring_text, dot_edges = bucketed_texts(graph, masks)
+            assert graph_to_text(graph) == graph_text
+            assert coloring_to_text(coloring) == coloring_text
+            dot = export_dot(graph, coloring).splitlines()
+            assert [line for line in dot if " -- " in line] == dot_edges
 
 
 @pytest.mark.parametrize("n, k", PARITY_SIZES)
