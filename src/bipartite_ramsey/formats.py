@@ -64,7 +64,7 @@ def _content_lines(source):
     if isinstance(source, str):
         blocks = (source[i : i + _BLOCK] for i in range(0, len(source), _BLOCK))
     else:
-        blocks = iter(partial(source.read, _BLOCK), "")
+        blocks = _blocks(source)
     tail = ""
     for block in blocks:
         lines = (tail + block).splitlines(True)
@@ -76,6 +76,14 @@ def _content_lines(source):
     line = tail.strip()
     if line and line[0] != "#":
         yield line
+
+
+def _blocks(file):
+    """The text of an open file in blocks of _BLOCK characters."""
+    try:
+        yield from iter(partial(file.read, _BLOCK), "")
+    except UnicodeDecodeError as exc:
+        raise ValidationError(f"{getattr(file, 'name', 'input')!r} is not {exc.encoding} text")
 
 
 def _batches(items):

@@ -5,7 +5,7 @@ right vertices.  Right vertices carry labels: either opaque integers
 (conventionally 1..right_count) or sorted tuples of integers for
 set-membership graphs, whose right vertices *are* k-subsets of the left
 ground set.  Every graph stores its labels and, in the same order, each
-right's sorted tuple of neighbours; edges is a view of those.  In
+right's sorted tuple of neighbours, and reads its edges from those.  In
 set_bipartite's B_{n,k} one SubsetSequence, computed from subset ranks on
 demand, is both.  Non-edges are first-class: the induced-subgraph checks
 below depend on them as much as on the edges.
@@ -30,11 +30,10 @@ trusted by the rest of the package as ground truth at desk scale.
 from array import array
 from bisect import bisect_left
 from collections import Counter
-from collections.abc import Set
 from dataclasses import dataclass
 from enum import IntEnum
 from functools import cached_property
-from itertools import chain, combinations, permutations
+from itertools import accumulate, chain, combinations, permutations, repeat
 from operator import ge, index as integer
 from typing import Optional
 
@@ -78,34 +77,11 @@ def _normalize_label(label):
     raise ValidationError(f"right label must be an int or an int tuple, got {label!r}")
 
 
-class EdgeView(Set):
-    """The (left, right label) edges of a graph as a read-only set, read
-    from its neighbourhoods: membership, length, iteration and equality
-    with any set, but no storage of its own."""
-
-    _from_iterable = frozenset  # set operations return plain frozensets
-
-    def __init__(self, graph):
-        self.graph = graph
-
-    def __contains__(self, edge):
-        return type(edge) is tuple and len(edge) == 2 and self.graph.has_edge(*edge)
-
-    def __iter__(self):
-        graph = self.graph
-        for label, lefts in zip(graph.right_labels, graph.neighborhoods):
-            for left in lefts:
-                yield left, label
-
-    def __len__(self):
-        return self.graph.edge_count
-
-
 @dataclass(frozen=True, eq=False)
 class BipartiteGraph:
     """Left class 1..left_count, labeled right class, and each right's
     neighbourhood: neighborhoods[r] is the sorted tuple of the lefts
-    adjacent to right_labels[r].  The edges property is a view of them.
+    adjacent to right_labels[r].
 
     In set_bipartite's B_{n,k} both fields are one SubsetSequence, since a
     set-membership right is its own neighbourhood; it stores nothing.
@@ -164,10 +140,6 @@ class BipartiteGraph:
     @cached_property
     def edge_count(self):
         return sum(map(len, self.neighborhoods))
-
-    @property
-    def edges(self):
-        return EdgeView(self)
 
     @property
     def lefts(self):
@@ -318,7 +290,8 @@ class EdgeColoring:
     the color of the edge to that right's p-th smallest neighbour (see
     the module docstring for the layout and the two storage types).
     constant_coloring, coloring_from_map and random_coloring build
-    colorings; coloring_from_map validates that every edge is colored once.
+    colorings; coloring_from_map takes any Mapping and, as pack_coloring
+    does, raises ValidationError unless exactly the edges get colors.
     """
 
     graph: BipartiteGraph
@@ -347,16 +320,14 @@ class EdgeColoring:
         return f"EdgeColoring(graph={self.graph!r}, edges={self.graph.edge_count})"
 
 
-def pack_coloring(graph, colored_edges, neighborhoods=None):
+def pack_coloring(graph, colored_edges):
     """EdgeColoring from (left, 1-based right index, color) triples, one
-    per edge.  neighborhoods lists each right's sorted neighbourhood in
-    right_labels order, if the caller has it already.
+    per edge, in any order.
 
     Raises ValidationError for a pair that is not an edge, an edge
     colored twice, a value that is not a color, or an edge left out.
     """
-    if neighborhoods is None:  # B_{n,k} unranks each right once here, not per edge
-        neighborhoods = list(graph.neighborhoods)
+    neighborhoods = list(graph.neighborhoods)  # B_{n,k} unranks each right once, not per edge
     masks = [0] * len(neighborhoods)
     seen = [0] * len(neighborhoods)
     count = 0
@@ -388,18 +359,37 @@ def constant_coloring(graph, color):
 
 
 def coloring_from_map(graph, mapping):
-    """EdgeColoring from an explicit edge -> color dict (validated total)."""
-    index = {label: i for i, label in enumerate(graph.right_labels, 1)}
-    # A right of B_{n,k} is its own neighbourhood: reuse the key tuples.
-    neighborhoods = list(index) if graph.membership_arity else None
+    """EdgeColoring from a Mapping of each (left, right label) edge to RED
+    or BLUE.  Each edge is looked up once, right-major (mask bit order); a
+    Mapping that is not a dict is copied first, so no __missing__ colors an
+    edge it lacks.  ValidationError for an uncolored edge, a value that is
+    not 0 or 1 (RED, BLUE or a bool), or a key that is not an edge."""
+    if type(mapping) is not dict:
+        mapping = dict(mapping)
+    labels = graph.right_labels
+    edges = chain.from_iterable(map(zip, graph.neighborhoods, map(repeat, labels)))
+    try:
+        bits = bytes(map(mapping.__getitem__, edges))  # one 0/1 byte per edge
+    except KeyError as exc:
+        raise ValidationError(f"coloring is not total: edge {exc.args[0]!r} is uncolored")
+    except (TypeError, ValueError):  # not an integer, or not a byte
+        bits = None
+    if bits is None or bits.translate(None, b"\0\1"):
+        raise ValidationError("coloring maps an edge to a value that is not a color")
+    if len(mapping) != len(bits):
+        raise ValidationError(f"coloring has {len(mapping) - len(bits)} keys that are not edges")
+    degree = graph._max_degree
+    if degree <= 8 and len(bits) == degree * len(labels):  # every right has this degree
+        mask = 0  # bit p of right r is bits[r * degree + p]: OR the strides into place
+        for p in range(degree):
+            mask |= int.from_bytes(bits[p::degree].translate(_SHIFT[p]), "little")
+        return EdgeColoring(graph, mask.to_bytes(len(labels), "little"))
+    text = bits.translate(b"01" + bytes(254))  # a right's edges, reversed, are its mask in binary
+    ends = list(accumulate(map(len, graph.neighborhoods), initial=0))
+    return EdgeColoring(graph, [int(text[o:e][::-1] or b"0", 2) for o, e in zip(ends, ends[1:])])
 
-    def colored_edges():
-        for edge, color in mapping.items():
-            if type(edge) is not tuple or len(edge) != 2 or edge[1] not in index:
-                raise ValidationError(f"{edge!r} is not an edge of the graph")
-            yield edge[0], index[edge[1]], color
 
-    return pack_coloring(graph, colored_edges(), neighborhoods)
+_SHIFT = [bytes((0, 1 << p)) + bytes(254) for p in range(8)]  # 0/1 -> bit p of a byte
 
 
 def random_coloring(graph, rng):

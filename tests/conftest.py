@@ -1,5 +1,14 @@
 import pytest
 
+try:
+    from hypothesis import settings
+except ImportError:  # the property tests skip themselves
+    pass
+else:
+    # pytest --hypothesis-profile=deep: ten times the default examples.  Not
+    # named "ci", the profile Hypothesis loads by itself on CI machines.
+    settings.register_profile("deep", max_examples=1000, deadline=None)
+
 from bipartite_ramsey import (
     BLUE,
     RED,

@@ -259,3 +259,12 @@ def test_malformed_file_is_input_error(tmp_path, capsys, case):
     assert main([command[0], path, *(path if arg == INPUT else arg for arg in command[1:])]) == 3
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "Traceback" not in err
+
+
+@pytest.mark.parametrize("command", [["params"], ["derive-coloring", "--b", "2"], ["verify"]])
+def test_file_that_is_not_utf8_is_input_error(tmp_path, capsys, command):
+    path = tmp_path / "input.txt"
+    path.write_bytes(b"bipartite 1 1\n\xff\n")
+    assert main([command[0], str(path), *command[1:]]) == 3
+    err = capsys.readouterr().err
+    assert err == f"error: {str(path)!r} is not utf-8 text\n"

@@ -6,8 +6,9 @@ any text, including lines cut by a block boundary and every line break
 str.splitlines knows.  Every writer's text reads back as what it wrote.
 """
 
+import io
 import random
-from contextlib import contextmanager
+from contextlib import contextmanager, redirect_stderr, redirect_stdout
 from itertools import combinations
 from math import comb
 
@@ -29,8 +30,14 @@ from bipartite_ramsey import (  # noqa: E402
     set_bipartite,
 )
 from bipartite_ramsey import formats  # noqa: E402
+from bipartite_ramsey.cli import main  # noqa: E402
 
-SETTINGS = hypothesis.settings(max_examples=100, deadline=None)
+# Example counts come from the Hypothesis profile: 100 by default, more
+# under the "deep" profile that tests/conftest.py registers.
+SETTINGS = hypothesis.settings(deadline=None)
+CLI_SETTINGS = hypothesis.settings(
+    deadline=None, max_examples=hypothesis.settings.default.max_examples // 4
+)
 BREAKS = ["\n", "\r\n", "\r", "\f", "\x1c", " ", "\n\n", "\n  # a comment\n", "\n \t \n"]
 
 
@@ -195,6 +202,42 @@ def test_writers_read_back(data):
     text = formats.certificate_to_text(host, witness, coloring)
     assert formats.certificate_from_text(text) == (host, coloring, witness)
     assert "".join(formats.certificate_chunks(host, witness, coloring)) == text
+
+
+INPUT = "<the input file>"  # stands for the random file in every reading command
+READING_COMMANDS = [
+    ["params", INPUT],
+    ["embed", INPUT],
+    ["dot", INPUT, "--coloring", INPUT],
+    ["dot", INPUT, "--certificate", INPUT],
+    ["extract-complete", INPUT, "--a", "1", "--b", "1"],
+    ["derive-coloring", INPUT, "--b", "2"],
+    ["find-homogeneous", INPUT, "--s", "3"],
+    ["extract-induced", INPUT, "--a", "1", "--b", "2", "--homogeneous", INPUT],
+    ["find-induced", INPUT, INPUT],
+    ["verify", INPUT],
+]
+
+
+def test_rw_on_random_file_contents_exits_0_to_3(text_file):
+    """No file content makes a reading command raise: rw answers it with
+    an exit code, 3 for malformed input."""
+
+    @CLI_SETTINGS
+    @hypothesis.given(
+        st.binary(max_size=300) | st.text(max_size=300).map(str.encode)
+        | texts().map(str.encode)
+    )
+    def check(content):
+        text_file.write_bytes(content)
+        path = str(text_file)
+        for command in READING_COMMANDS:
+            out, err = io.StringIO(), io.StringIO()
+            with redirect_stdout(out), redirect_stderr(err):
+                code = main([path if arg == INPUT else arg for arg in command])
+            assert code in (0, 1, 2, 3), (command, err.getvalue())
+
+    check()
 
 
 @pytest.mark.xfail(strict=True, reason="graph text names an opaque right by its index alone")

@@ -8,10 +8,12 @@ operation on the explicit graph make_graph builds from the same data.
 """
 
 import random
+from collections import Counter, defaultdict
 from functools import partial
 from itertools import combinations
 from math import comb
 from pathlib import Path
+from types import MappingProxyType
 
 import pytest
 
@@ -37,6 +39,7 @@ from bipartite_ramsey.formats import (
     graph_from_text,
     graph_to_text,
 )
+from bipartite_ramsey.graphs import pack_coloring
 from bipartite_ramsey.subsets import SubsetSequence
 
 GOLDEN_B93 = Path(__file__).parent / "golden" / "position_rule_b93.cert.txt"
@@ -106,8 +109,8 @@ def test_huge_host_builds_without_materializing(monkeypatch):
     assert host.label_at(comb(40, 20)) == last
     assert host.right_index(last) == comb(40, 20)
     assert host.membership_arity == 20
-    assert host.edge_count == len(host.edges) == 20 * comb(40, 20)
-    assert host.has_edge(21, last) and not host.has_edge(1, last) and (40, last) in host.edges
+    assert host.edge_count == 20 * comb(40, 20)
+    assert host.has_edge(21, last) and not host.has_edge(1, last) and host.has_edge(40, last)
     assert host.neighbors(last) == last
     # Packing a constant coloring reads the degree, not the neighbourhoods.
     assert constant_coloring(set_bipartite(22, 8), RED).masks == bytes(comb(22, 8))
@@ -125,14 +128,15 @@ def outcome(query, *args):
 
 
 def query_answers(host, coloring, labels, lefts):
-    answers = [host.edge_count, len(host.edges), host.membership_arity]
+    edges = host.sorted_edges()
+    answers = [host.edge_count, edges, host.membership_arity]
     for label in labels:
         answers.append(outcome(host.has_right_label, label))
         answers.append(outcome(host.right_index, label))
         answers.append(outcome(host.neighbors, label))
         for left in lefts:
             answers.append(outcome(host.has_edge, left, label))
-            answers.append((left, label) in host.edges)
+            answers.append((left, label) in edges)
             answers.append(outcome(coloring.color_of, left, label))
     return answers
 
@@ -148,7 +152,7 @@ def odd_labels(n, k):
 @pytest.mark.parametrize("n, k", [(n, k) for n in range(1, 8) for k in range(1, n + 1)])
 def test_equal_hosts_answer_every_query_alike(n, k):
     lazy, explicit = set_bipartite(n, k), explicit_host(n, k)
-    assert lazy == explicit and lazy.edges == explicit.edges == set(explicit.edges)
+    assert lazy == explicit and lazy.sorted_edges() == explicit.sorted_edges()
     masks = random_coloring(explicit, random.Random(n * 10 + k)).masks
     labels = list(k_subsets(n, k)) + odd_labels(n, k)
     lefts = [0, 1, n, n + 1, True, "1", None]
@@ -164,7 +168,7 @@ def test_unknown_labels_are_false_or_validation_errors():
         coloring = constant_coloring(host, RED)
         for label in ((1, 7), [1, 2], {}, 9, (1, 2, 3)):
             assert not host.has_right_label(label) and not host.has_edge(1, label)
-            assert (1, label) not in host.edges
+            assert (1, label) not in host.sorted_edges()
             for query in (host.right_index, host.neighbors, partial(coloring.color_of, 1)):
                 with pytest.raises(ValidationError):
                     query(label)
@@ -209,9 +213,8 @@ def test_generic_graphs_match_a_plain_edge_set():
         graph = make_graph(left_count, given, named)
         neighbors, indexed, arity = plain_reference(left_count, labels, edges)
         assert graph.right_labels == tuple(labels)
-        assert graph.edges == edges and edges == graph.edges and set(graph.edges) == edges
-        assert graph.edges == frozenset(edges) and frozenset(edges) == graph.edges
-        assert graph.edge_count == len(graph.edges) == len(edges)
+        assert set(graph.sorted_edges()) == edges
+        assert graph.edge_count == len(graph.sorted_edges()) == len(edges)
         assert all(graph.neighbors(label) == neighbors[label] for label in labels)
         assert [(x, r) for x, row in enumerate(graph.edge_rows()[0]) for r in row] == [
             (x, r) for x, r, _ in indexed
@@ -219,7 +222,7 @@ def test_generic_graphs_match_a_plain_edge_set():
         assert list(indexed_edges(graph)) == indexed
         assert graph.membership_arity == arity
         assert all(graph.has_edge(x, y) == ((x, y) in edges) for x in range(7) for y in labels)
-        assert all((x, y, 0) not in graph.edges and [x, y] not in graph.edges for x, y in edges)
+        assert all(x in graph.neighborhoods[graph.right_index(y) - 1] for x, y in edges)
         # e lines in any order, some repeated, read as the same graph
         text = graph_to_text(graph)
         header, *lines = text.splitlines()
@@ -392,6 +395,100 @@ def test_both_hosts_reject_the_same_bad_colorings(n, k):
             messages.append(str(exc.value))
     half = len(messages) // 2
     assert messages[:half] == messages[half:]  # the same error on either host
+
+
+# -- coloring_from_map against the packer it replaced -------------------------
+
+
+def reference_coloring_from_map(graph, mapping):
+    """coloring_from_map as it was: a label -> index dict and one
+    pack_coloring triple per key of the map, kept as the reference."""
+    index = {label: i for i, label in enumerate(graph.right_labels, 1)}
+
+    def colored_edges():
+        for edge, color in mapping.items():
+            if type(edge) is not tuple or len(edge) != 2 or edge[1] not in index:
+                raise ValidationError(f"{edge!r} is not an edge of the graph")
+            yield edge[0], index[edge[1]], color
+
+    return pack_coloring(graph, colored_edges())
+
+
+def from_map_graphs():
+    """Random generic graphs (int and subset labels, rights of degree 0
+    and above 8), K_{n,k}, and lazy and explicit B_{n,k} for k in 1..8."""
+    rng = random.Random(17)
+    graphs = [complete_bipartite(n, k) for n, k in [(1, 1), (3, 4), (8, 3), (9, 2), (12, 5)]]
+    for _ in range(30):
+        left_count = rng.randint(1, 12)
+        density = rng.choice((0.2, 0.5, 0.9))
+        subsets = [X for k in range(1, 4) for X in combinations(range(1, left_count + 1), k)]
+        for labels in (
+            rng.sample(range(1, 20), rng.randint(1, 8)),  # int labels in any order
+            sorted(rng.sample(subsets, min(len(subsets), rng.randint(1, 8)))),
+        ):
+            edges = [(x, y) for x in range(1, left_count + 1) for y in labels
+                     if rng.random() < density]
+            graphs.append(make_graph(left_count, labels, edges))
+    for k in range(1, 9):
+        graphs += [set_bipartite(k + 2, k), explicit_host(k + 2, k)]
+    return graphs
+
+
+def key_orders(graph, rng):
+    """A graph's edges right-major (mask bit order), left-major and shuffled."""
+    right_major = [(x, label) for label, lefts in zip(graph.right_labels, graph.neighborhoods)
+                   for x in lefts]
+    shuffled = right_major[:]
+    rng.shuffle(shuffled)
+    return [right_major, graph.sorted_edges(), shuffled]
+
+
+def bad_maps(graph, colors, rng):
+    """Maps that coloring_from_map must refuse, each named for what is wrong."""
+    edges = list(colors)
+    edge = rng.choice(edges)
+    missing = {e: c for e, c in colors.items() if e != edge}
+    non_edges = [(x, label) for label in graph.right_labels for x in graph.lefts
+                 if not graph.has_edge(x, label)] or [(graph.left_count + 1, edge[1])]
+    counter, default = Counter(missing), defaultdict(lambda: RED, missing)
+    assert counter[edge] == 0 and default[edge] is RED and edge not in counter  # __missing__
+    del default[edge]
+    return {
+        "missing edge": missing,
+        "extra non-edge": {**colors, rng.choice(non_edges): BLUE},
+        "unknown right": {**colors, (1, -1): RED},
+        "non-tuple key": {**colors, frozenset(edge): RED},
+        **{f"value {value!r}": {**colors, edge: value} for value in (2, 1.0, "R", None)},
+        "Counter lacking an edge": counter,
+        "defaultdict lacking an edge": default,
+    }
+
+
+def test_coloring_from_map_matches_the_reference_packer():
+    rng = random.Random(18)
+    graphs = from_map_graphs()
+    assert any(() in graph.neighborhoods for graph in graphs)  # some right of degree 0
+    kinds = set()
+    for graph in graphs:
+        for _ in range(2):
+            colors = {e: rng.choice((RED, BLUE)) for e in graph.sorted_edges()}
+            for order in key_orders(graph, rng):
+                mapping = {e: colors[e] for e in order}
+                coloring = coloring_from_map(graph, mapping)
+                assert coloring == reference_coloring_from_map(graph, mapping)  # bytes or tuple
+                kinds.add(type(coloring.masks))
+            assert coloring_from_map(graph, MappingProxyType(colors)) == coloring
+        if not colors:
+            continue
+        for name, bad in bad_maps(graph, colors, rng).items():
+            with pytest.raises(ValidationError):
+                coloring_from_map(graph, bad)
+                pytest.fail(f"accepted a map with a {name}")
+            # The old packer let 1.0 through as BLUE and died on OR-ing it into a mask.
+            with pytest.raises(TypeError if name == "value 1.0" else ValidationError):
+                reference_coloring_from_map(graph, bad)
+    assert kinds == {bytes, tuple}
 
 
 # -- the certificate fast path vs the generic parse --------------------------
