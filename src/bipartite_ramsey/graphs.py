@@ -33,7 +33,7 @@ from collections import Counter
 from dataclasses import dataclass
 from enum import IntEnum
 from functools import cached_property
-from itertools import accumulate, chain, combinations, permutations, repeat
+from itertools import accumulate, chain, combinations, pairwise, permutations, repeat
 from operator import ge, index as integer
 from typing import Optional
 
@@ -363,33 +363,20 @@ def coloring_from_map(graph, mapping):
     or BLUE.  Each edge is looked up once, right-major (mask bit order); a
     Mapping that is not a dict is copied first, so no __missing__ colors an
     edge it lacks.  ValidationError for an uncolored edge, a value that is
-    not 0 or 1 (RED, BLUE or a bool), or a key that is not an edge."""
+    not 0 or 1 (RED, BLUE or a bool), or a key that is not an edge.  The
+    masks are read from those bytes, one int() per right."""
     if type(mapping) is not dict:
         mapping = dict(mapping)
-    labels = graph.right_labels
-    edges = chain.from_iterable(map(zip, graph.neighborhoods, map(repeat, labels)))
+    edges = chain.from_iterable(map(zip, graph.neighborhoods, map(repeat, graph.right_labels)))
     try:
-        bits = bytes(map(mapping.__getitem__, edges))  # one 0/1 byte per edge
+        bits = _dense_table(map(mapping.__getitem__, edges), 0, 1)  # one 0/1 byte per edge
     except KeyError as exc:
         raise ValidationError(f"coloring is not total: edge {exc.args[0]!r} is uncolored")
-    except (TypeError, ValueError):  # not an integer, or not a byte
-        bits = None
-    if bits is None or bits.translate(None, b"\0\1"):
-        raise ValidationError("coloring maps an edge to a value that is not a color")
     if len(mapping) != len(bits):
         raise ValidationError(f"coloring has {len(mapping) - len(bits)} keys that are not edges")
-    degree = graph._max_degree
-    if degree <= 8 and len(bits) == degree * len(labels):  # every right has this degree
-        mask = 0  # bit p of right r is bits[r * degree + p]: OR the strides into place
-        for p in range(degree):
-            mask |= int.from_bytes(bits[p::degree].translate(_SHIFT[p]), "little")
-        return EdgeColoring(graph, mask.to_bytes(len(labels), "little"))
     text = bits.translate(b"01" + bytes(254))  # a right's edges, reversed, are its mask in binary
-    ends = list(accumulate(map(len, graph.neighborhoods), initial=0))
-    return EdgeColoring(graph, [int(text[o:e][::-1] or b"0", 2) for o, e in zip(ends, ends[1:])])
-
-
-_SHIFT = [bytes((0, 1 << p)) + bytes(254) for p in range(8)]  # 0/1 -> bit p of a byte
+    ends = pairwise(accumulate(map(len, graph.neighborhoods), initial=0))
+    return EdgeColoring(graph, (int(text[o:e][::-1] or b"0", 2) for o, e in ends))
 
 
 def random_coloring(graph, rng):
