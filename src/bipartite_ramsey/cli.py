@@ -89,12 +89,9 @@ def cmd_embed(args):
 
 
 def cmd_extract_complete(args):
-    with open(args.coloring, encoding="utf-8") as fh:
-        host = formats.infer_complete_host(fh)
-        fh.seek(0)
-        coloring = formats.coloring_from_text(fh, host)
+    coloring = _read(formats.complete_coloring_from_text, args.coloring)
     witness = extract_monochromatic_complete(coloring, args.a, args.b)
-    _emit_certificate(args, host, witness, coloring)
+    _emit_certificate(args, coloring.graph, witness, coloring)
     return EXIT_FOUND
 
 

@@ -34,13 +34,15 @@ and the mapping, so a certificate file can be checked on its own):
 
 Blank lines and lines starting with '#' are ignored everywhere.
 
-Every reader takes the text as a str or as an open text file.  Either is
-read in blocks of 64 KiB characters, each split exactly as str.splitlines
-splits, so a file is never held whole: an edge coloring is read into
-three columns (lefts, right indices, color bits) and a certificate in one
-pass.  Every writer is a generator of chunks, one per left for edge lines
-(from BipartiteGraph.edge_rows) and one per batch of lines otherwise;
-each *_to_text (and export_dot) is the join of its generator.
+Every reader takes the text as a str or as an open text file and reads
+it once, in blocks of 64 KiB characters split exactly as str.splitlines
+splits, so a file is never held whole.  An edge coloring is read into
+three columns (lefts, right indices, color bits), from which
+complete_coloring_from_text and set_coloring_from_text also infer the
+host; a certificate is read section by section.  Every writer is a
+generator of chunks, one per left for edge lines (from
+BipartiteGraph.edge_rows) and one per batch of lines otherwise; each
+*_to_text (and export_dot) is the join of its generator.
 """
 
 from array import array
@@ -50,7 +52,8 @@ from math import comb
 
 from .constructions import complete_bipartite, set_bipartite
 from .errors import ParameterError, ValidationError
-from .graphs import BipartiteGraph, Color, InducedCopyWitness, pack_coloring, set_graph_arity
+from .graphs import BipartiteGraph, Color, InducedCopyWitness, _resolve, pack_coloring
+from .graphs import set_graph_arity
 from .hypergraph import SubsetColoring, _rank_table
 
 _BLOCK = 1 << 16  # characters read at a time
@@ -233,9 +236,19 @@ def coloring_from_text(source, graph):
 
 
 def infer_complete_host(source):
-    """Reconstruct K_{n,k} from a total coloring file of a complete host;
-    the line count is checked before the host is built."""
+    """Reconstruct K_{n,k} from a total coloring file of a complete host."""
     (lefts, rights, _), _ = _read_coloring(_content_lines(source))
+    return _complete_host(lefts, rights)
+
+
+def complete_coloring_from_text(source):
+    """The coloring of K_{n,k} in a total coloring file, parsed in one pass."""
+    columns, _ = _read_coloring(_content_lines(source))
+    return pack_coloring(_complete_host(*columns[:2]), zip(*columns))
+
+
+def _complete_host(lefts, rights):
+    """K_{n,k} for a coloring's columns, checked before it is built."""
     if not lefts:
         raise ValidationError("coloring file contains no coloring lines")
     for what, column in (("left", lefts), ("right index", rights)):
@@ -388,30 +401,22 @@ def certificate_from_text(source):
             raise ValidationError(f"certificate is missing the {required!r} section")
 
     host, pattern, (lefts, rights) = sections["host"], sections["pattern"], sections["witness"]
-    coloring = None
-    if "coloring" in sections:
-        coloring = pack_coloring(host, zip(*sections["coloring"]))
+    coloring = pack_coloring(host, zip(*sections["coloring"])) if "coloring" in sections else None
     if sorted(lefts) != list(range(1, pattern.left_count + 1)):
         raise ValidationError("wleft lines must cover pattern lefts 1..c exactly")
     if sorted(rights) != list(range(1, len(pattern.right_labels) + 1)):
         raise ValidationError("wright lines must cover pattern rights 1..d exactly")
 
-    host_right = []
-    for j in range(1, len(pattern.right_labels) + 1):
-        label = rights[j]
-        # A single int names an opaque label; resolve it against subset-labeled
-        # hosts as a 1-element subset if needed.
-        if isinstance(label, int) and not host.has_right_label(label):
-            if host.has_right_label((label,)):
-                label = (label,)
-        host_right.append(label)
-    witness = InducedCopyWitness(
-        pattern=pattern,
-        host_left=tuple(lefts[i] for i in range(1, pattern.left_count + 1)),
-        host_right=tuple(host_right),
-        claimed_color=claimed,
+    def label(token):  # a bare int names an opaque right, else a 1-subset the host has
+        single = isinstance(token, int) and not host.has_right_label(token)
+        return (token,) if single and host.has_right_label((token,)) else token
+
+    return host, coloring, InducedCopyWitness(
+        pattern,
+        [lefts[i] for i in range(1, pattern.left_count + 1)],
+        [label(rights[j]) for j in range(1, pattern.right_count + 1)],
+        claimed,
     )
-    return host, coloring, witness
 
 
 def _read_witness(lines):
@@ -422,16 +427,18 @@ def _read_witness(lines):
         parts = line.split()
         if parts[0] in _SECTIONS:
             return (lefts, rights), line
-        if len(parts) != 3 or parts[0] not in ("wleft", "wright"):
+        if (parts[0], len(parts)) not in {("wleft", 3), ("wright", 3), ("wright", 2)}:
             raise ValidationError(f"unrecognized witness line {line!r}")
         index = _int(parts[1], "witness index")
         if parts[0] == "wleft":
             if index in lefts:
                 raise ValidationError(f"duplicate wleft {index}")
             lefts[index] = _int(parts[2], "witness left")
+        elif index in rights:
+            raise ValidationError(f"duplicate wright {index}")
+        elif len(parts) == 2:  # the empty subset has no field
+            rights[index] = ()
         else:
-            if index in rights:
-                raise ValidationError(f"duplicate wright {index}")
             token = parts[2]
             rights[index] = _parse_subset(token) if "," in token else _int(token, "witness right")
     return (lefts, rights), None
@@ -450,16 +457,9 @@ def export_dot(graph, coloring=None, witness=None):
 def dot_chunks(graph, coloring=None, witness=None):
     """export_dot a chunk at a time.  The witness and the coloring are
     checked here, before the first chunk is asked for."""
-    marked_lefts, marked_rights = set(), set()  # rights by 1-based index
-    if witness is not None:
-        for left in witness.host_left:
-            if not (isinstance(left, int) and 1 <= left <= graph.left_count):
-                raise ValidationError(f"witness references unknown left {left!r}")
-        marked_lefts = set(witness.host_left)
-        marked_rights = {graph.right_index(label) for label in witness.host_right}
-    if coloring is not None and coloring.graph is not graph and coloring.graph != graph:
-        raise ValidationError("coloring refers to a different graph")
-    return _dot_chunks(graph, coloring, marked_lefts, marked_rights)
+    rights = _resolve(graph, coloring, witness)
+    marked_lefts = set(witness.host_left) if witness is not None else set()
+    return _dot_chunks(graph, coloring, marked_lefts, {r + 1 for r in rights})  # 1-based
 
 
 def _dot_chunks(graph, coloring, marked_lefts, marked_rights):

@@ -434,6 +434,21 @@ class InducedCopyWitness:
             raise ValidationError("witness right map is not injective")
 
 
+def _resolve(host, coloring, witness=None):
+    """The 0-based host positions of a witness's rights, one label lookup
+    each; ValidationError unless the witness's vertices are the host's and
+    the coloring, if any, is of the host."""
+    positions = []
+    if witness is not None:
+        for left in witness.host_left:
+            if not (isinstance(left, int) and 1 <= left <= host.left_count):
+                raise ValidationError(f"witness references unknown left {left!r}")
+        positions = [host.right_index(label) - 1 for label in witness.host_right]
+    if coloring is not None and coloring.graph is not host and coloring.graph != host:
+        raise ValidationError("coloring refers to a different graph than the host")
+    return positions
+
+
 def verify_witness(host, witness, coloring=None):
     """Check an induced-copy certificate against its host.
 
@@ -442,32 +457,21 @@ def verify_witness(host, witness, coloring=None):
     non-edges too), and, when the witness claims a color and a coloring
     is supplied, every mapped host edge carries that color.
 
-    Malformed witnesses (dangling references; shape errors are already
-    rejected at construction) raise ValidationError rather than
-    returning False.
+    Each witness vertex is resolved once, by _resolve: a left outside the
+    host, a right label it lacks, or a coloring of another graph raises
+    ValidationError rather than returning False.
     """
-    for left in witness.host_left:
-        if not (isinstance(left, int) and 1 <= left <= host.left_count):
-            raise ValidationError(f"witness references unknown host left {left!r}")
-    for label in witness.host_right:
-        if not host.has_right_label(label):
-            raise ValidationError(f"witness references unknown host right {label!r}")
-    if coloring is not None and coloring.graph is not host and coloring.graph != host:
-        raise ValidationError("coloring refers to a different graph than the host")
-
-    pattern = witness.pattern
-    check_color = witness.claimed_color is not None and coloring is not None
-    for i in range(1, pattern.left_count + 1):
-        hl = witness.host_left[i - 1]
-        for j, plabel in enumerate(pattern.right_labels, 1):
-            hr = witness.host_right[j - 1]
-            in_pattern = pattern.has_edge(i, plabel)
-            in_host = host.has_edge(hl, hr)
-            if in_pattern != in_host:
-                return False
-            if in_host and check_color:
-                if coloring.color_of(hl, hr) != witness.claimed_color:
-                    return False
+    positions = _resolve(host, coloring, witness)
+    lefts, color = witness.host_left, witness.claimed_color
+    masks = coloring.masks if coloring is not None and color is not None else None
+    for r, needs in zip(positions, witness.pattern.neighborhoods):
+        neighbors = host.neighborhoods[r]
+        if needs != tuple(i for i, left in enumerate(lefts, 1) if left in neighbors):
+            return False
+        if masks is not None and any(
+            masks[r] >> _bit(neighbors, lefts[i - 1]) & 1 != color for i in needs
+        ):
+            return False
     return True
 
 
@@ -510,8 +514,7 @@ def find_induced_monochromatic(host, coloring, pattern, budget=None):
     b = len(pattern.right_labels)
     if a > host.left_count or b > len(host.right_labels):
         return None
-    if coloring.graph is not host and coloring.graph != host:
-        raise ValidationError("coloring refers to a different graph than the host")
+    _resolve(host, coloring)  # refuses a coloring of another graph
 
     meter = BudgetMeter(budget)
     neighborhoods = list(host.neighborhoods)

@@ -18,6 +18,7 @@ from bipartite_ramsey import (
     random_coloring,
     set_bipartite,
 )
+from bipartite_ramsey import formats
 from bipartite_ramsey.cli import main
 from bipartite_ramsey.formats import (
     certificate_from_text,
@@ -75,6 +76,16 @@ def test_extract_complete_and_verify(tmp_path):
     assert code == 0
     assert main(["verify", str(cert)]) == 0
     assert "graph" in dot.read_text()
+
+
+def test_extract_complete_parses_its_file_once(tmp_path, monkeypatch):
+    reads = []
+    read_coloring = formats._read_coloring
+    monkeypatch.setattr(formats, "_read_coloring", lambda *a: reads.append(1) or read_coloring(*a))
+    coloring = random_coloring(complete_bipartite(32, 4), random.Random(2))
+    colfile = write(tmp_path / "col.txt", coloring_to_text(coloring))
+    assert main(["extract-complete", colfile, "--a", "2", "--b", "2", "-o", "-"]) == 0
+    assert len(reads) == 1
 
 
 def test_verify_rejects_tampered_certificate(tmp_path):

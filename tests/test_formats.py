@@ -1,5 +1,6 @@
 """Round trips and validation for the text file formats."""
 
+import random
 import tracemalloc
 
 import pytest
@@ -25,6 +26,7 @@ from bipartite_ramsey.formats import (
     certificate_to_text,
     coloring_from_text,
     coloring_to_text,
+    complete_coloring_from_text,
     graph_from_text,
     graph_to_text,
     infer_complete_host,
@@ -113,21 +115,33 @@ def test_infer_hosts_from_coloring_files():
         ("c 1 1 R\nc 2 -3 B\n", "coloring right index -3 is below 1"),
         ("# no lines\n\n", "coloring file contains no coloring lines"),
     ):
-        with pytest.raises(ValidationError, match=f"^{message}$"):
-            infer_complete_host(text)
+        for read in (infer_complete_host, complete_coloring_from_text):
+            with pytest.raises(ValidationError, match=f"^{message}$"):
+                read(text)
+
+
+def test_complete_coloring_from_text_reads_host_and_coloring_at_once():
+    g = complete_bipartite(9, 3)  # degree 9: masks in a tuple
+    coloring = random_coloring(g, random.Random(4))
+    text = coloring_to_text(coloring)
+    assert complete_coloring_from_text(text) == coloring
+    assert complete_coloring_from_text(text).graph == infer_complete_host(text) == g
+    with pytest.raises(ValidationError):  # the right count, but an edge colored twice
+        complete_coloring_from_text(text.replace("c 9 3 ", "c 9 2 "))
 
 
 def test_infer_complete_host_counts_lines_before_building_the_host():
     # One line naming right 2,000,000 is no total coloring of K_{1,2000000};
     # it is refused before the host's 2,000,000 rights are allocated.
-    tracemalloc.start()
-    try:
-        with pytest.raises(ValidationError):
-            infer_complete_host("c 1 2000000 R\n")
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 1 << 20
+    for read in (infer_complete_host, complete_coloring_from_text):
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValidationError):
+                read("c 1 2000000 R\n")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
 
 
 def test_subset_coloring_round_trip():

@@ -4,6 +4,9 @@ Every reader takes a str or an open file, and a file is read in blocks:
 both must give the same value, or raise the same exception type, for
 any text, including lines cut by a block boundary and every line break
 str.splitlines knows.  Every writer's text reads back as what it wrote.
+
+Every pipeline witness also passes a second checker, text_verdict, that
+reads only the certificate text and shares no code with the package.
 """
 
 import io
@@ -11,6 +14,7 @@ import random
 from contextlib import contextmanager, redirect_stderr, redirect_stdout
 from itertools import combinations
 from math import comb
+from pathlib import Path
 
 import pytest
 
@@ -20,17 +24,22 @@ st = hypothesis.strategies
 from bipartite_ramsey import (  # noqa: E402
     BLUE,
     RED,
+    EdgeColoring,
     InducedCopyWitness,
     ParameterError,
     SubsetColoring,
     ValidationError,
     complete_bipartite,
+    find_induced_mono_pattern,
+    find_induced_monochromatic,
     make_graph,
     random_coloring,
     set_bipartite,
+    verify_witness,
 )
 from bipartite_ramsey import formats  # noqa: E402
 from bipartite_ramsey.cli import main  # noqa: E402
+from conftest import position_rule_coloring  # noqa: E402
 
 # Example counts come from the Hypothesis profile: 100 by default, more
 # under the "deep" profile that tests/conftest.py registers.
@@ -129,6 +138,7 @@ READERS = {
     "graph": formats.graph_from_text,
     "coloring of K_{2,2}": lambda src: formats.coloring_from_text(src, complete_bipartite(2, 2)),
     "complete host": formats.infer_complete_host,
+    "complete coloring": formats.complete_coloring_from_text,
     "set coloring": lambda src: formats.set_coloring_from_text(src, 2),
     "subset coloring": formats.subset_coloring_from_text,
     "homogeneous": formats.homogeneous_from_text,
@@ -204,6 +214,19 @@ def test_writers_read_back(data):
     assert "".join(formats.certificate_chunks(host, witness, coloring)) == text
 
 
+def test_a_witness_right_labelled_by_the_empty_subset_reads_back(tmp_path):
+    host = make_graph(2, [(), (1, 2)], [(1, (1, 2))])
+    witness = InducedCopyWitness(make_graph(1, [1, 2], [(1, 2)]), (1,), ((), (1, 2)), RED)
+    coloring = EdgeColoring(host, [0, 0])  # all RED
+    text = formats.certificate_to_text(host, witness, coloring)
+    assert "wright 1 \n" in text  # the empty subset has no field
+    assert formats.certificate_from_text(text) == (host, coloring, witness)
+    assert text_verdict(text) is verify_witness(host, witness, coloring) is True
+    cert = tmp_path / "cert.txt"
+    cert.write_text(text)
+    assert main(["verify", str(cert)]) == 0
+
+
 INPUT = "<the input file>"  # stands for the random file in every reading command
 READING_COMMANDS = [
     ["params", INPUT],
@@ -244,3 +267,154 @@ def test_rw_on_random_file_contents_exits_0_to_3(text_file):
 def test_opaque_labels_other_than_the_index_read_back():
     graph = make_graph(1, (2, 5), [(1, 5)])
     assert formats.graph_from_text(formats.graph_to_text(graph)) == graph
+
+
+# -- a second checker that reads only the certificate text ---------------------
+
+
+def text_verdict(text):
+    """Check a witness certificate from its text alone, with set membership
+    and none of the package's code: True iff each mapped (left, right) pair
+    is a host edge exactly when it is a pattern edge and, when the witness
+    claims a color and the text colors the host, every such edge has it.
+    ValueError or KeyError for a certificate that is not well formed."""
+    graphs, colors, wleft, wright, section, claim = {}, {}, {}, {}, None, None
+    for line in text.splitlines():
+        f = line.split()
+        if not f or f[0].startswith("#"):
+            continue
+        if f[0] in ("host", "coloring", "pattern"):
+            section = f[0]
+        elif f[0] == "witness":
+            claim = f[1]
+        elif f[0] == "bipartite":  # lefts, right index -> label text, edges
+            graphs[section] = (int(f[1]), {i: str(i) for i in range(1, int(f[2]) + 1)}, set())
+        elif f[0] == "rlabel":
+            graphs[section][1][int(f[1])] = f[2] if len(f) == 3 else ""
+        elif f[0] == "e":
+            graphs[section][2].add((int(f[1]), int(f[2])))
+        elif f[0] == "c":
+            colors[int(f[1]), int(f[2])] = f[3]
+        elif f[0] in ("wleft", "wright"):
+            (wleft if f[0] == "wleft" else wright)[int(f[1])] = f[2] if len(f) == 3 else ""
+        else:
+            raise ValueError(f"not a certificate line: {line!r}")
+    n, host_labels, host_edges = graphs["host"]
+    c, pattern_labels, pattern_edges = graphs["pattern"]
+    index = {label: i for i, label in host_labels.items()}
+    if len(index) != len(host_labels):
+        raise ValueError("two host rights share a label text")
+    lefts = {i: int(x) for i, x in wleft.items()}
+    rights = {j: index[label] for j, label in wright.items()}
+    if sorted(lefts) != list(range(1, c + 1)) or sorted(rights) != sorted(pattern_labels):
+        raise ValueError("the witness does not map the pattern")
+    if len(set(lefts.values())) < c or len(set(rights.values())) < len(rights):
+        raise ValueError("the witness is not injective")
+    if not all(1 <= x <= n for x in lefts.values()):
+        raise ValueError("the witness names a left outside the host")
+    for i, x in lefts.items():
+        for j, y in rights.items():
+            edge = (x, y) in host_edges
+            if edge != ((i, j) in pattern_edges):
+                return False
+            if edge and colors and claim in ("R", "B") and colors[x, y] != claim:
+                return False
+    return True
+
+
+def test_text_checker_accepts_the_golden_certificates():
+    golden = sorted((Path(__file__).parent / "golden").glob("*.cert.txt"))
+    assert len(golden) == 2
+    for path in golden:
+        text = path.read_text(encoding="utf-8")
+        assert text_verdict(text) is True
+        claim = next(line for line in text.splitlines() if line.startswith("witness "))
+        flipped = "witness " + {"R": "B", "B": "R"}[claim[-1]]
+        assert text_verdict(text.replace(claim, flipped)) is False
+
+
+def test_text_checker_agrees_with_rw_verify_on_the_rw_tests_certificates(tmp_path, capsys):
+    """Each certificate that tests/test_cli.py has rw write, valid or
+    tampered, gets the verdict rw verify gives it."""
+    import test_cli
+
+    pattern = test_cli.write(tmp_path / "pattern.txt", "bipartite 1 1\ne 1 1\n")
+    runs = {
+        "embed": lambda d: test_cli.test_embed_and_verify(d, pattern),
+        "extract-complete": test_cli.test_extract_complete_and_verify,
+        "tampered": test_cli.test_verify_rejects_tampered_certificate,
+        "extract-induced": lambda d: test_cli.test_derive_find_extract_chain(d, capsys),
+        "find-induced": lambda d: test_cli.test_find_induced_pipeline(d, pattern),
+        "dot": lambda d: test_cli.test_input_error_writes_no_output(d, capsys),
+    }
+    verdicts = []
+    for name, run in runs.items():
+        (tmp_path / name).mkdir()
+        run(tmp_path / name)
+        for path in sorted((tmp_path / name).glob("*.txt")):
+            text = path.read_text(encoding="utf-8")
+            if text.startswith("host\n"):
+                code = main(["verify", str(path)])
+                assert code in (0, 1) and text_verdict(text) is (code == 0), path
+                verdicts.append(code == 0)
+    assert verdicts.count(True) == 6 and verdicts.count(False) == 1
+
+
+@st.composite
+def pipeline_cases(draw, k):
+    """A pattern for the pipeline on B_{n,k} (c = (k-1)/2 lefts) and a
+    coloring of B_{n,k}, n >= s: position_rule_coloring's, the same rule
+    planted on a random s-set only, or random_coloring's."""
+    b = (k + 1) // 2
+    c, d = b - 1, draw(st.integers(1, 2 if k == 3 else 1))  # the oracle is slow past d = 2
+    pairs = [(i, j) for i in range(1, c + 1) for j in range(1, d + 1)]
+    pattern = make_graph(c, range(1, d + 1), draw(st.sets(st.sampled_from(pairs))))
+    s = (2 * c + d) * b + b - 1
+    host = set_bipartite(draw(st.integers(s, s + 2 if k == 3 else s)), k)
+    rng = random.Random(draw(st.integers(0, 999)))
+    kind = draw(st.sampled_from(["planted", "planted on an s-set", "random"]))
+    random_masks = random_coloring(host, rng).masks
+    if kind == "random":
+        return pattern, EdgeColoring(host, random_masks), False
+    color = draw(st.sampled_from([RED, BLUE]))
+    positions = draw(st.sampled_from(list(combinations(range(1, k + 1), b))))
+    rule = position_rule_coloring(host, color, positions)
+    if kind == "planted":
+        return pattern, rule, True
+    planted = set(rng.sample(host.lefts, s))
+    masks = [rule.masks[r] if planted.issuperset(X) else random_masks[r]
+             for r, X in enumerate(host.right_labels)]
+    return pattern, EdgeColoring(host, masks), True
+
+
+def both_checkers(host, witness, coloring):
+    """The verdicts of verify_witness and of text_verdict on a witness."""
+    text = formats.certificate_to_text(host, witness, coloring)
+    return verify_witness(host, witness, coloring), text_verdict(text)
+
+
+@hypothesis.settings(deadline=None, max_examples=hypothesis.settings.default.max_examples // 4)
+@hypothesis.given(pipeline_cases(3))
+def test_pipeline_witnesses_pass_both_checkers_and_the_oracle_agrees_on_b_n3(case):
+    pattern, coloring, planted = case
+    host = coloring.graph
+    witness = find_induced_mono_pattern(pattern, coloring)
+    assert witness is not None or not planted  # a planted s-set is homogeneous
+    if witness is not None:
+        assert both_checkers(host, witness, coloring) == (True, True)
+        if pattern.edge_count:  # the other color is a false claim
+            other = BLUE if witness.claimed_color is RED else RED
+            false_claim = InducedCopyWitness(pattern, witness.host_left, witness.host_right, other)
+            assert both_checkers(host, false_claim, coloring) == (False, False)
+        oracle = find_induced_monochromatic(host, coloring, pattern)
+        assert oracle is not None and both_checkers(host, oracle, coloring) == (True, True)
+
+
+@hypothesis.settings(deadline=None, max_examples=hypothesis.settings.default.max_examples // 50)
+@hypothesis.given(pipeline_cases(5))
+def test_pipeline_witnesses_pass_both_checkers_on_b_n5(case):
+    pattern, coloring, planted = case
+    witness = find_induced_mono_pattern(pattern, coloring)
+    assert witness is not None or not planted
+    if witness is not None:
+        assert both_checkers(coloring.graph, witness, coloring) == (True, True)

@@ -20,17 +20,22 @@ import pytest
 from bipartite_ramsey import (
     BLUE,
     RED,
+    BipartiteGraph,
+    DerivedColor,
     EdgeColoring,
+    InducedCopyWitness,
     ValidationError,
     coloring_from_map,
     complete_bipartite,
     constant_coloring,
+    extract_induced,
     k_subsets,
     make_graph,
     random_coloring,
     set_bipartite,
+    verify_witness,
 )
-from bipartite_ramsey import formats
+from bipartite_ramsey import formats, subsets
 from bipartite_ramsey.formats import (
     certificate_from_text,
     coloring_from_text,
@@ -40,7 +45,8 @@ from bipartite_ramsey.formats import (
     graph_to_text,
 )
 from bipartite_ramsey.graphs import pack_coloring
-from bipartite_ramsey.subsets import SubsetSequence
+from bipartite_ramsey.subsets import SubsetSequence, subset_unrank
+from conftest import position_rule_coloring
 
 GOLDEN_B93 = Path(__file__).parent / "golden" / "position_rule_b93.cert.txt"
 SIZES = [(n, k) for n in range(1, 9) for k in range(1, n + 1)]
@@ -600,3 +606,130 @@ def test_non_integer_mask_is_a_validation_error(n, storage, bad):
     assert type(EdgeColoring(host, [0, 1]).masks) is storage
     with pytest.raises(ValidationError):
         EdgeColoring(host, [0, bad])
+
+
+# -- verify_witness against the label-based checker it replaced ---------------
+
+
+def reference_verify_witness(host, witness, coloring=None):
+    """verify_witness as it was: host.has_edge and coloring.color_of, each a
+    label lookup, per (left, right) pair; kept as the reference."""
+    for left in witness.host_left:
+        if not (isinstance(left, int) and 1 <= left <= host.left_count):
+            raise ValidationError(f"witness references unknown host left {left!r}")
+    for label in witness.host_right:
+        if not host.has_right_label(label):
+            raise ValidationError(f"witness references unknown host right {label!r}")
+    if coloring is not None and coloring.graph is not host and coloring.graph != host:
+        raise ValidationError("coloring refers to a different graph than the host")
+    pattern = witness.pattern
+    check_color = witness.claimed_color is not None and coloring is not None
+    for i in range(1, pattern.left_count + 1):
+        hl = witness.host_left[i - 1]
+        for j, plabel in enumerate(pattern.right_labels, 1):
+            hr = witness.host_right[j - 1]
+            in_pattern = pattern.has_edge(i, plabel)
+            in_host = host.has_edge(hl, hr)
+            if in_pattern != in_host:
+                return False
+            if in_host and check_color:
+                if coloring.color_of(hl, hr) != witness.claimed_color:
+                    return False
+    return True
+
+
+def copy_witness(host, coloring, lefts, rights, rng):
+    """The witness of the pattern the host induces on lefts and rights, in
+    the order given, claiming the color of its edges when they share one."""
+    d = len(rights)
+    labels = rng.choice([list(range(1, d + 1)), [(j,) for j in range(1, d + 1)]])
+    edges = [(i, labels[j]) for i, x in enumerate(lefts, 1) for j, y in enumerate(rights)
+             if host.has_edge(x, y)]
+    colors = {coloring.color_of(x, y) for i, x in enumerate(lefts, 1) for y in rights
+              if host.has_edge(x, y)}
+    claimed = colors.pop() if len(colors) == 1 else rng.choice([None, RED, BLUE])
+    return InducedCopyWitness(make_graph(len(lefts), labels, edges), lefts, rights, claimed)
+
+
+def tampered(host, witness, rng):
+    """Witnesses one change away from the given one, each named for it."""
+    pattern, lefts, rights = witness.pattern, list(witness.host_left), list(witness.host_right)
+    out = {}
+    spare_lefts = [x for x in host.lefts if x not in lefts]
+    if spare_lefts:
+        out["swapped left"] = (lefts[:-1] + [rng.choice(spare_lefts)], rights)
+    if len(lefts) > 1:
+        out["exchanged lefts"] = (lefts[1:] + lefts[:1], rights)
+    spare_rights = [y for y in host.right_labels if y not in rights]
+    if rights and spare_rights:
+        out["swapped right"] = (lefts, rights[:-1] + [rng.choice(spare_rights)])
+    if len(rights) > 1:
+        out["exchanged rights"] = (lefts, rights[1:] + rights[:1])
+    out["left 0"] = ([0] + lefts[1:], rights)
+    out["left n+1"] = (lefts[:-1] + [host.left_count + 1], rights)
+    if rights:
+        out["unknown right"] = (lefts, [-1] + rights[1:])
+    witnesses = {name: InducedCopyWitness(pattern, *maps, witness.claimed_color)
+                 for name, maps in out.items()}
+    flipped = BLUE if witness.claimed_color is RED else RED
+    witnesses["flipped color"] = InducedCopyWitness(pattern, lefts, rights, flipped)
+    return witnesses
+
+
+def verdict(check, *args):
+    try:
+        return check(*args)
+    except ValidationError as exc:
+        return type(exc)
+
+
+def test_verify_witness_matches_the_label_based_reference():
+    rng = random.Random(19)
+    graphs = from_map_graphs()
+    graphs += [set_bipartite(9, 3), explicit_host(9, 3), set_bipartite(8, 5)]
+    verdicts, kinds = Counter(), set()
+    for host in graphs:
+        coloring = random_coloring(host, rng)
+        kinds.add(type(coloring.masks))
+        twin = BipartiteGraph(host.left_count, host.right_labels, host.neighborhoods)
+        other = complete_bipartite(host.left_count, host.right_count + 1)  # same lefts
+        colorings = [None, coloring, EdgeColoring(twin, coloring.masks)]
+        colorings.append(constant_coloring(other, RED))
+        for _ in range(12):
+            lefts = rng.sample(host.lefts, rng.randint(1, min(4, host.left_count)))
+            rights = rng.sample(host.right_labels, rng.randint(0, min(4, host.right_count)))
+            witness = copy_witness(host, coloring, lefts, rights, rng)
+            for name, w in {"copy": witness, **tampered(host, witness, rng)}.items():
+                for col in colorings:
+                    expected = verdict(reference_verify_witness, host, w, col)
+                    assert verdict(verify_witness, host, w, col) == expected, (host, name)
+                    verdicts[expected] += 1
+    assert verdicts[True] and verdicts[False] and verdicts[ValidationError]
+    assert kinds == {bytes, tuple}  # K_{9,2} and K_{12,5} keep their masks in a tuple
+
+
+def test_verify_witness_looks_up_each_witness_right_once(monkeypatch):
+    unranks = Counter()
+
+    def counting_unrank(*args):
+        unranks["calls"] += 1
+        return subset_unrank(*args)
+
+    lazy = set_bipartite(9, 3)
+    coloring = position_rule_coloring(lazy, RED, (1, 3))
+    witness = extract_induced(range(1, 10), DerivedColor(RED, (1, 3)), 4, 2, lazy, coloring)
+    masks = coloring.masks
+    monkeypatch.setattr(subsets, "subset_unrank", counting_unrank)
+    for host in (lazy, explicit_host(9, 3)):
+        coloring, lookups = EdgeColoring(host, masks), Counter()
+
+        def counting_find(label, find=host._find):
+            lookups[label] += 1
+            return find(label)
+
+        monkeypatch.setitem(host.__dict__, "_find", counting_find)
+        unranks.clear()
+        assert verify_witness(host, witness, coloring) is True
+        assert lookups == Counter(witness.host_right)  # one per right, none per pair
+        if host is lazy:  # and each right's neighbourhood is unranked once
+            assert unranks["calls"] == len(witness.host_right) == 6
