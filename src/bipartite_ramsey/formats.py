@@ -58,6 +58,7 @@ from .hypergraph import SubsetColoring, _rank_table
 
 _BLOCK = 1 << 16  # characters read at a time
 _BATCH = 4096  # lines per chunk where there is no left to chunk by
+_MAX_INDEX = (1 << 31) - 1  # vertex indices are 4-byte, as in array("i") columns and rows
 _SECTIONS = ("host", "coloring", "pattern", "witness")
 
 
@@ -150,8 +151,8 @@ def _read_graph(lines, sections=()):
     if len(fields) != 3:
         raise ValidationError(f"bad graph header {header!r}")
     left_count, right_count = _int(fields[1], "left count"), _int(fields[2], "right count")
-    if left_count < 0 or right_count < 0:
-        raise ValidationError(f"bad graph header {header!r}: negative vertex count")
+    if not (0 <= left_count <= _MAX_INDEX and 0 <= right_count <= _MAX_INDEX):
+        raise ValidationError(f"bad graph header {header!r}: counts must be 0..{_MAX_INDEX}")
     labels = list(range(1, right_count + 1))
     neighborhoods = [[] for _ in labels]  # lefts per right, as read
     for line in lines:
@@ -311,6 +312,8 @@ def subset_coloring_from_text(source):
     if len(fields) != 4:
         raise ValidationError(f"bad subset-coloring header {header!r}")
     n, arity, palette = (_int(x, "subset-coloring header field") for x in fields[1:])
+    if max(n, arity) > _MAX_INDEX:  # C(n, arity) alone could take hours
+        raise ValidationError(f"bad subset-coloring header {header!r}: past {_MAX_INDEX}")
     return SubsetColoring(n, arity, palette, _rank_table(n, arity, _subset_values(lines)))
 
 

@@ -33,7 +33,7 @@ from collections import Counter
 from dataclasses import dataclass
 from enum import IntEnum
 from functools import cached_property
-from itertools import accumulate, chain, combinations, pairwise, permutations, repeat
+from itertools import accumulate, chain, combinations, pairwise, permutations, product, repeat
 from operator import ge, index as integer
 from typing import Optional
 
@@ -434,15 +434,20 @@ class InducedCopyWitness:
             raise ValidationError("witness right map is not injective")
 
 
+def _check_lefts(host, lefts):
+    """ValidationError unless every one of the lefts is the host's."""
+    for left in lefts:
+        if not (isinstance(left, int) and 1 <= left <= host.left_count):
+            raise ValidationError(f"unknown left {left!r}")
+
+
 def _resolve(host, coloring, witness=None):
     """The 0-based host positions of a witness's rights, one label lookup
     each; ValidationError unless the witness's vertices are the host's and
     the coloring, if any, is of the host."""
     positions = []
     if witness is not None:
-        for left in witness.host_left:
-            if not (isinstance(left, int) and 1 <= left <= host.left_count):
-                raise ValidationError(f"witness references unknown left {left!r}")
+        _check_lefts(host, witness.host_left)
         positions = [host.right_index(label) - 1 for label in witness.host_right]
     if coloring is not None and coloring.graph is not host and coloring.graph != host:
         raise ValidationError("coloring refers to a different graph than the host")
@@ -481,12 +486,10 @@ def induced_subgraph(host, lefts, rights):
     Chosen lefts are renumbered 1..|lefts| in increasing order of their
     host ids; right labels are preserved and keep their host order.
     """
-    lefts = sorted(set(lefts))
-    for left in lefts:
-        if not (isinstance(left, int) and 1 <= left <= host.left_count):
-            raise ValidationError(f"unknown left vertex {left!r}")
+    lefts = set(lefts)
+    _check_lefts(host, lefts)
     kept = sorted({host.right_index(_normalize_label(r)) - 1 for r in rights})
-    renumber = {old: new for new, old in enumerate(lefts, 1)}
+    renumber = {old: new for new, old in enumerate(sorted(lefts), 1)}
     return BipartiteGraph(
         len(lefts),
         [host.right_labels[r] for r in kept],
@@ -498,17 +501,20 @@ def find_induced_monochromatic(host, coloring, pattern, budget=None):
     """Exhaustively search the host for an induced monochromatic pattern copy.
 
     Enumerates left-vertex combinations in lexicographic order, then for
-    each arrangement of them tries RED before BLUE and assigns host right
-    vertices to pattern right vertices depth-first in host order, so the
-    first witness found is deterministic.  Injective maps that reorder a
-    combination are all considered: absence means no copy exists under
-    any vertex mapping.
+    each arrangement of them tries RED before BLUE.  For each pattern
+    right it lists, in host order, the host rights that fit it: their
+    neighbourhood among the mapped lefts is exactly the one needed, and
+    those edges have the color.  The first tuple of those lists' product
+    whose rights are distinct is the witness, the lexicographically first
+    injective assignment in host order, so the result is deterministic.
+    Injective maps that reorder a combination are all considered: absence
+    means no copy exists under any vertex mapping.
 
     Returns a witness accepted by verify_witness (claimed_color set;
     RED by convention when the pattern has no edges), or None when no
-    induced monochromatic copy exists.  Raises BudgetExceededError if
-    the number of candidate checks passes the budget, which is an
-    "unknown", not an "absent".
+    induced monochromatic copy exists.  One budget check is one (host
+    right, pattern right) test or one tuple tried; BudgetExceededError
+    past the budget is an "unknown", not an "absent".
     """
     a = pattern.left_count
     b = len(pattern.right_labels)
@@ -517,52 +523,28 @@ def find_induced_monochromatic(host, coloring, pattern, budget=None):
     _resolve(host, coloring)  # refuses a coloring of another graph
 
     meter = BudgetMeter(budget)
-    neighborhoods = list(host.neighborhoods)
-    host_adj = [frozenset(lefts) for lefts in neighborhoods]
-    pat_needs = pattern.neighborhoods
-    host_labels = host.right_labels
-    pattern_has_edges = pattern.edge_count > 0
+    rights = [(frozenset(lefts), lefts, mask)
+              for lefts, mask in zip(host.neighborhoods, coloring.masks)]
+    colors = (RED, BLUE) if pattern.edge_count else (RED,)  # vacuous witnesses are RED
 
-    for left_combo in combinations(range(1, host.left_count + 1), a):
+    for left_combo in combinations(host.lefts, a):
         for left_perm in permutations(left_combo):
             left_set = frozenset(left_perm)
             # Host lefts that must be the exact neighborhood of each mapped right.
-            needs = [frozenset(left_perm[i - 1] for i in need) for need in pat_needs]
-            for color in (RED, BLUE):
-                if color is BLUE and not pattern_has_edges:
-                    break  # vacuous witnesses are RED by convention
-                chosen = _assign_rights(
-                    neighborhoods, coloring, host_labels, host_adj, needs, left_set, color, meter
-                )
-                if chosen is not None:
-                    return InducedCopyWitness(pattern, left_perm, chosen, color)
-    return None
-
-
-def _assign_rights(neighborhoods, coloring, host_labels, host_adj, needs, left_set, color, meter):
-    """Depth-first injective assignment of host rights to pattern rights."""
-    b = len(needs)
-    chosen = []
-    used = set()
-
-    def extend(j):
-        for idx, label in enumerate(host_labels):
-            if idx in used:
-                continue
-            meter.charge()
-            if host_adj[idx] & left_set != needs[j]:
-                continue
-            mask, neighbors = coloring.masks[idx], neighborhoods[idx]
-            if any(mask >> _bit(neighbors, l) & 1 != color for l in needs[j]):
-                continue
-            used.add(idx)
-            chosen.append(label)
-            if j + 1 == b or extend(j + 1):
-                return True
-            used.discard(idx)
-            chosen.pop()
-        return False
-
-    if b == 0 or extend(0):
-        return tuple(chosen)
+            needs = [frozenset(left_perm[i - 1] for i in need) for need in pattern.neighborhoods]
+            for color in colors:
+                lists = []
+                for need in needs:
+                    meter.charge(len(rights))
+                    lists.append([r for r, (adjacent, lefts, mask) in enumerate(rights)
+                                  if adjacent & left_set == need
+                                  and all(mask >> _bit(lefts, x) & 1 == color for x in need)])
+                    if not lists[-1]:
+                        break
+                else:
+                    for chosen in product(*lists):
+                        meter.charge()
+                        if len(set(chosen)) == b:
+                            labels = [host.right_labels[r] for r in chosen]
+                            return InducedCopyWitness(pattern, left_perm, labels, color)
     return None

@@ -14,7 +14,7 @@ conclusion, so the preconditions here are just the inequalities.
 
 from .constructions import complete_bipartite
 from .errors import ParameterError
-from .graphs import InducedCopyWitness
+from .graphs import BLUE, RED, InducedCopyWitness
 from .hypergraph import _majority
 
 
@@ -25,7 +25,12 @@ def signature_of(coloring, x):
         raise ParameterError("signatures are defined on complete hosts only")
     if not 1 <= x <= graph.left_count:
         raise ParameterError(f"left vertex {x} out of range 1..{graph.left_count}")
-    return tuple(coloring.color_of(x, label) for label in graph.right_labels)
+    return _signature(coloring.masks, x)
+
+
+def _signature(masks, x):
+    # Every right of a complete host has neighbours 1..n: bit x-1 of its mask colors x.
+    return tuple((RED, BLUE)[mask >> (x - 1) & 1] for mask in masks)
 
 
 def extract_monochromatic_complete(coloring, a, b):
@@ -52,7 +57,7 @@ def extract_monochromatic_complete(coloring, a, b):
 
     classes = {}
     for x in range(1, n + 1):
-        classes.setdefault(signature_of(coloring, x), []).append(x)
+        classes.setdefault(_signature(coloring.masks, x), []).append(x)
     largest = max(len(xs) for xs in classes.values())
     signature = min(sig for sig, xs in classes.items() if len(xs) == largest)
     members = classes[signature]

@@ -249,11 +249,16 @@ INPUT = "<the input file>"  # stands for the case's own file in a later argument
 MALFORMED = {
     "graph-left-token": (["dot"], "bipartite 2 2\ne 1 x\n"),
     "graph-negative-rights": (["dot"], "bipartite 2 -1\n"),
+    "graph-huge-rights": (["params"], "bipartite 0 99999999999\n"),
+    "certificate-huge-host": (["verify"], "host\nbipartite 0 99999999999\n"),
     "coloring-left-token": (["extract-complete", "--a", "1", "--b", "1"], "c 1 1 R\nc q 1 R\n"),
     "coloring-right-token": (["extract-complete", "--a", "1", "--b", "1"], "c 1 q R\n"),
     "subset-not-arity": (["find-homogeneous", "--s", "2"], "subsetcoloring 3 2 2\nsc 1,3,2 1\n"),
     "subset-negative-n": (["find-homogeneous", "--s", "2"], "subsetcoloring -1 2 2\n"),
     "subset-huge-header": (["find-homogeneous", "--s", "2"], "subsetcoloring 100000 50 2\n"),
+    "subset-header-past-index": (
+        ["find-homogeneous", "--s", "2"], f"subsetcoloring {1 << 64} 99999999999 2\n"
+    ),
     "derive-b-zero": (["derive-coloring", "--b", "0"], "c 1 1 R\n"),
     "derive-b-negative": (["derive-coloring", "--b", "-1"], "c 1 1 R\n"),
     "extract-b-zero": (

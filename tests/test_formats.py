@@ -62,6 +62,14 @@ def test_graph_text_errors():
         graph_from_text("bipartite 2 2\nx 1 2\n")
 
 
+def test_graph_header_counts_are_4_byte_indices():
+    # Counts past 2^31 - 1 are refused before anything is allocated for them.
+    for header in ("bipartite 0 99999999999", "bipartite 2147483648 0", "bipartite 0 -1"):
+        with pytest.raises(ValidationError, match="counts must be 0..2147483647"):
+            graph_from_text(header)
+    assert graph_from_text("bipartite 2147483647 0").left_count == 2**31 - 1  # no rights
+
+
 def test_graph_text_ignores_comments_and_blanks():
     g = graph_from_text("# a graph\n\nbipartite 1 1\n\ne 1 1\n")
     assert g.edge_count == 1

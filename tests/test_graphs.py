@@ -1,6 +1,8 @@
 """Core data model, witness checking, and the brute-force oracle."""
 
 import random
+from collections import Counter
+from itertools import combinations, permutations
 
 import pytest
 
@@ -22,6 +24,9 @@ from bipartite_ramsey import (
     set_bipartite,
     verify_witness,
 )
+from bipartite_ramsey.errors import BudgetMeter
+from bipartite_ramsey.graphs import _bit, _resolve
+from conftest import position_rule_coloring
 
 
 def test_graph_validation_rejects_bad_edges():
@@ -161,6 +166,22 @@ def test_induced_subgraph_unknown_vertex(three_by_three_host):
         induced_subgraph(three_by_three_host, set(), {9})
 
 
+def test_an_unknown_left_has_one_message_for_both_checks(three_by_three_host):
+    """induced_subgraph and verify_witness refuse a left the host lacks
+    through the same check, with the same message."""
+    witness = InducedCopyWitness(complete_bipartite(1, 1), (9,), (1,))
+    for check in (
+        lambda: induced_subgraph(three_by_three_host, {1, 9}, {1}),
+        lambda: verify_witness(three_by_three_host, witness),
+    ):
+        with pytest.raises(ValidationError) as info:
+            check()
+        assert str(info.value) == "unknown left 9"
+    for left in (0, 4, "1"):
+        with pytest.raises(ValidationError, match=f"unknown left {left!r}"):
+            induced_subgraph(three_by_three_host, {left}, set())
+
+
 # -- the brute-force oracle ----------------------------------------------
 
 
@@ -266,3 +287,137 @@ def test_oracle_round_trip_property():
             found += 1
             assert verify_witness(host, w, col) is True
     assert found > 0  # the sample is not degenerate
+
+
+# -- the oracle against the depth-first search it replaced ---------------------
+
+
+def reference_oracle(host, coloring, pattern, budget=None):
+    """find_induced_monochromatic as it was: a depth-first injective
+    assignment that rescans every host right at each search node; kept as
+    the reference."""
+    a = pattern.left_count
+    b = len(pattern.right_labels)
+    if a > host.left_count or b > len(host.right_labels):
+        return None
+    _resolve(host, coloring)  # refuses a coloring of another graph
+
+    meter = BudgetMeter(budget)
+    neighborhoods = list(host.neighborhoods)
+    host_adj = [frozenset(lefts) for lefts in neighborhoods]
+    pat_needs = pattern.neighborhoods
+    host_labels = host.right_labels
+    pattern_has_edges = pattern.edge_count > 0
+
+    for left_combo in combinations(range(1, host.left_count + 1), a):
+        for left_perm in permutations(left_combo):
+            left_set = frozenset(left_perm)
+            # Host lefts that must be the exact neighborhood of each mapped right.
+            needs = [frozenset(left_perm[i - 1] for i in need) for need in pat_needs]
+            for color in (RED, BLUE):
+                if color is BLUE and not pattern_has_edges:
+                    break  # vacuous witnesses are RED by convention
+                chosen = _assign_rights(
+                    neighborhoods, coloring, host_labels, host_adj, needs, left_set, color, meter
+                )
+                if chosen is not None:
+                    return InducedCopyWitness(pattern, left_perm, chosen, color)
+    return None
+
+
+def _assign_rights(neighborhoods, coloring, host_labels, host_adj, needs, left_set, color, meter):
+    """Depth-first injective assignment of host rights to pattern rights."""
+    b = len(needs)
+    chosen = []
+    used = set()
+
+    def extend(j):
+        for idx, label in enumerate(host_labels):
+            if idx in used:
+                continue
+            meter.charge()
+            if host_adj[idx] & left_set != needs[j]:
+                continue
+            mask, neighbors = coloring.masks[idx], neighborhoods[idx]
+            if any(mask >> _bit(neighbors, l) & 1 != color for l in needs[j]):
+                continue
+            used.add(idx)
+            chosen.append(label)
+            if j + 1 == b or extend(j + 1):
+                return True
+            used.discard(idx)
+            chosen.pop()
+        return False
+
+    if b == 0 or extend(0):
+        return tuple(chosen)
+    return None
+
+
+def random_pattern(rng, lefts, rights):
+    """A pattern on lefts 1..lefts with 0..rights rights, the last often a
+    twin of the first (the same neighbourhood), so that the first tuple of
+    fitting host rights repeats one."""
+    d = rng.randint(0, rights)
+    pattern = _random_graph(rng, rng.randint(0, lefts), tuple(range(1, d + 1)))
+    if d > 1 and rng.random() < 0.5:
+        twins = pattern.neighborhoods[:-1] + pattern.neighborhoods[:1]
+        pattern = BipartiteGraph(pattern.left_count, pattern.right_labels, twins)
+    return pattern
+
+
+def oracle_cases(rng):
+    """(host, coloring, pattern) triples: random generic hosts with int or
+    subset labels and maybe an empty side, K_{n,k} and B_{n,k}."""
+    for _ in range(150):
+        lefts = rng.randint(0, 5)
+        if lefts and rng.random() < 0.5:
+            pool = [X for k in range(lefts + 1) for X in combinations(range(1, lefts + 1), k)]
+            labels = sorted(rng.sample(pool, min(len(pool), rng.randint(0, 6))))
+        else:
+            labels = tuple(range(1, rng.randint(0, 6) + 1))
+        host = _random_graph(rng, lefts, labels, rng.choice([0.3, 0.5, 0.8]))
+        yield host, random_coloring(host, rng), random_pattern(rng, 2, 3)
+    for n, k in [(1, 1), (3, 2), (4, 3), (2, 5), (5, 4)]:
+        host = complete_bipartite(n, k)
+        for _ in range(8):
+            yield host, random_coloring(host, rng), random_pattern(rng, 2, 3)
+        yield host, constant_coloring(host, BLUE), complete_bipartite(min(n, 2), min(k, 3))
+    for n, k in [(4, 1), (5, 2), (6, 3), (6, 5)]:
+        host = set_bipartite(n, k)
+        for _ in range(8):
+            yield host, random_coloring(host, rng), random_pattern(rng, 2, 3)
+
+
+def planted_single_left_family():
+    """Every 1-left, 3-right pattern on every position-rule coloring of
+    B_{11,3}: a dead end at the last pattern right cost the depth-first
+    search every pair of earlier choices."""
+    host = set_bipartite(11, 3)
+    pairs = [(1, 1), (1, 2), (1, 3)]
+    for color in (RED, BLUE):
+        for positions in combinations((1, 2, 3), 2):
+            coloring = position_rule_coloring(host, color, positions)
+            for m in range(8):
+                edges = [e for bit, e in enumerate(pairs) if m >> bit & 1]
+                yield host, coloring, make_graph(1, (1, 2, 3), edges)
+
+
+def test_oracle_matches_the_depth_first_reference():
+    found = Counter()
+    for host, coloring, pattern in oracle_cases(random.Random(19)):
+        expected = reference_oracle(host, coloring, pattern)
+        assert find_induced_monochromatic(host, coloring, pattern) == expected, (host, pattern)
+        found[expected is not None] += 1
+    assert found[True] > 100 and found[False] > 100
+
+
+def test_oracle_matches_the_reference_where_it_was_slow(b93):
+    cases = list(planted_single_left_family())
+    for positions in ((1, 2), (1, 3), (2, 3)):
+        for color in (RED, BLUE):
+            cases.append((b93, position_rule_coloring(b93, color, positions), set_bipartite(4, 2)))
+    for host, coloring, pattern in cases:
+        expected = reference_oracle(host, coloring, pattern)
+        assert find_induced_monochromatic(host, coloring, pattern) == expected, pattern
+        assert expected is None or verify_witness(host, expected, coloring) is True
