@@ -2,8 +2,8 @@
 
 Exit codes: 0 = witness found / verified, 1 = definitively absent (or a
 certificate that checks as invalid), 2 = enumeration budget exceeded,
-3 = input error.  The environment variable RW_BUDGET overrides the
-default enumeration cap.
+3 = input error, a usage error included.  The environment variable
+RW_BUDGET overrides the default enumeration cap.
 """
 
 import argparse
@@ -269,8 +269,10 @@ def build_parser():
 
 
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    try:
+        args = build_parser().parse_args(argv)
+    except SystemExit as exc:  # argparse exits 2 on a usage error, 0 after --help
+        return EXIT_INPUT if exc.code == 2 else exc.code
     try:
         return args.func(args)
     except BudgetExceededError as exc:

@@ -48,13 +48,13 @@ BipartiteGraph.edge_rows) and one per batch of lines otherwise; each
 from array import array
 from functools import partial
 from itertools import islice, repeat
-from math import comb
 
 from .constructions import complete_bipartite, set_bipartite
 from .errors import ParameterError, ValidationError
 from .graphs import BipartiteGraph, Color, InducedCopyWitness, _resolve, pack_coloring
 from .graphs import set_graph_arity
 from .hypergraph import SubsetColoring, _rank_table
+from .subsets import is_subset_count
 
 _BLOCK = 1 << 16  # characters read at a time
 _BATCH = 4096  # lines per chunk where there is no left to chunk by
@@ -281,10 +281,10 @@ def _set_host(lefts, k):
     n = max(lefts, default=0)
     if n < k:
         raise ValidationError(f"coloring file too small for a set graph of arity {k}")
-    if len(lefts) != k * comb(n, k):
-        raise ValidationError(
+    if len(lefts) % k or not is_subset_count(len(lefts) // k, n, k):
+        raise ValidationError(  # by formula: k * C(n, k) can run past str()'s 4,300 digits
             f"coloring has {len(lefts)} lines, a total coloring of B_({n},{k}) "
-            f"needs {k * comb(n, k)}"
+            f"needs {k}*C({n},{k})"
         )
     return set_bipartite(n, k)
 

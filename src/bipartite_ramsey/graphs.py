@@ -14,10 +14,12 @@ An edge 2-coloring is packed: one bit mask per right vertex, in
 right_labels order.  Bit p of a right's mask is the color (RED = 0,
 BLUE = 1) of its edge to its p-th smallest neighbour, counting p from 0;
 a set-membership right X = {z_0 < z_1 < ...} is its own neighbourhood,
-so bit p colors the edge (z_p, X).  The masks are a _dense_table, as
-SubsetColoring's values are: bytes when every right has at most 8
-neighbours (every B_{n,k} with k <= 8), else a tuple of ints.  Nothing
-outside the two constructors looks at which one it holds.
+so bit p colors the edge (z_p, X).  pack_coloring, coloring_from_map and
+random_coloring each write one ASCII 0/1 per edge in that order, and
+_packed turns each right's digits into its mask.  The masks are a
+_dense_table, as SubsetColoring's values are: bytes when every right has
+at most 8 neighbours (every B_{n,k} with k <= 8), else a tuple of ints.
+Nothing outside the two constructors looks at which one it holds.
 
 Everything here is an immutable value; operations are pure functions and
 safe to call concurrently.
@@ -34,7 +36,7 @@ from dataclasses import dataclass
 from enum import IntEnum
 from functools import cached_property
 from itertools import accumulate, chain, combinations, pairwise, permutations, product, repeat
-from operator import ge, index as integer
+from operator import ge, index as integer, rshift
 from typing import Optional
 
 from .errors import BudgetMeter, ValidationError
@@ -62,6 +64,7 @@ class Color(IntEnum):
 
 RED = Color.RED
 BLUE = Color.BLUE
+_DIGIT = b"01" + bytes(254)  # bytes.translate table: color bit -> ASCII digit
 
 
 def _normalize_label(label):
@@ -298,9 +301,15 @@ class EdgeColoring:
     masks: object  # bytes, or a tuple of ints when some right has degree > 8
 
     def __post_init__(self):
-        masks = _dense_table(self.masks, 0, (1 << self.graph._max_degree) - 1)
-        if len(masks) != self.graph.right_count:
+        graph = self.graph
+        masks = _dense_table(self.masks, 0, (1 << graph._max_degree) - 1)
+        if len(masks) != graph.right_count:
             raise ValidationError("a coloring needs one mask per right")
+        # The table bound is the whole check when every right has the max degree.
+        if graph.edge_count != graph._max_degree * len(masks) and any(
+            map(rshift, masks, map(len, graph.neighborhoods))
+        ):
+            raise ValidationError("a mask has a bit past its right's degree")
         object.__setattr__(self, "masks", masks)
 
     def color_of(self, left, label):
@@ -320,35 +329,39 @@ class EdgeColoring:
         return f"EdgeColoring(graph={self.graph!r}, edges={self.graph.edge_count})"
 
 
+def _packed(graph, text):
+    """EdgeColoring from one ASCII 0/1 per edge in mask bit order (right by
+    right, neighbours increasing): a right's digits, reversed, are its mask."""
+    ends = pairwise(accumulate(map(len, graph.neighborhoods), initial=0))
+    return EdgeColoring(graph, (int(text[o:e][::-1] or b"0", 2) for o, e in ends))
+
+
 def pack_coloring(graph, colored_edges):
     """EdgeColoring from (left, 1-based right index, color) triples, one
-    per edge, in any order.
+    per edge, in any order, as _packed's digits: "?" until colored.
 
     Raises ValidationError for a pair that is not an edge, an edge
     colored twice, a value that is not a color, or an edge left out.
     """
-    neighborhoods = list(graph.neighborhoods)  # B_{n,k} unranks each right once, not per edge
-    masks = [0] * len(neighborhoods)
-    seen = [0] * len(neighborhoods)
-    count = 0
+    # Every edge's left in mask bit order; right index i's run is starts[i - 1]:starts[i].
+    lefts = _dense_table(chain.from_iterable(graph.neighborhoods), 0, graph.left_count)
+    starts = list(accumulate(map(len, graph.neighborhoods), initial=0))
+    text = bytearray(b"?") * len(lefts)
     for left, index, color in colored_edges:
-        r = index - 1
         try:
-            bit = 1 << _bit(neighborhoods[r], left) if r >= 0 else 0
-        except (IndexError, TypeError, ValueError):
-            bit = 0  # no such right, or the left is not one of its neighbours
-        if not bit:
+            e = starts[index]
+            p = bisect_left(lefts, left, starts[index - 1], e)
+            bad = p == e or lefts[p] != left or index < 1
+        except (IndexError, TypeError):
+            bad = True  # no such right, or a left that is not an int
+        if bad:
             raise ValidationError(f"({left!r}, right {index!r}) is not an edge of the graph")
-        if seen[r] & bit or color not in (RED, BLUE):
+        if text[p] != 63 or color not in (0, 1):  # 63 is "?"; 0 and 1 are RED and BLUE
             raise ValidationError(f"edge ({left}, right {index}) colored twice or not by a color")
-        seen[r] |= bit
-        masks[r] |= bit * color
-        count += 1
-    if count != graph.edge_count:
-        raise ValidationError(
-            f"coloring is not total: {graph.edge_count - count} edges are uncolored"
-        )
-    return EdgeColoring(graph, masks)
+        text[p] = 48 + color  # ASCII 0 or 1
+    if b"?" in text:
+        raise ValidationError(f"coloring is not total: {text.count(b'?')} edges are uncolored")
+    return _packed(graph, text)
 
 
 def constant_coloring(graph, color):
@@ -364,7 +377,7 @@ def coloring_from_map(graph, mapping):
     Mapping that is not a dict is copied first, so no __missing__ colors an
     edge it lacks.  ValidationError for an uncolored edge, a value that is
     not 0 or 1 (RED, BLUE or a bool), or a key that is not an edge.  The
-    masks are read from those bytes, one int() per right."""
+    looked-up bits, as digits, go to _packed."""
     if type(mapping) is not dict:
         mapping = dict(mapping)
     edges = chain.from_iterable(map(zip, graph.neighborhoods, map(repeat, graph.right_labels)))
@@ -374,27 +387,18 @@ def coloring_from_map(graph, mapping):
         raise ValidationError(f"coloring is not total: edge {exc.args[0]!r} is uncolored")
     if len(mapping) != len(bits):
         raise ValidationError(f"coloring has {len(mapping) - len(bits)} keys that are not edges")
-    text = bits.translate(b"01" + bytes(254))  # a right's edges, reversed, are its mask in binary
-    ends = pairwise(accumulate(map(len, graph.neighborhoods), initial=0))
-    return EdgeColoring(graph, (int(text[o:e][::-1] or b"0", 2) for o, e in ends))
+    return _packed(graph, bits.translate(_DIGIT))
 
 
 def random_coloring(graph, rng):
     """Independent fair RED/BLUE choice per edge, in canonical edge order.
-    Each left's draws are one row of bits; one pass over the rights then
-    takes each edge's bit from its left's row at that left's cursor."""
+    Each left's draws are one row of digits; each edge, taken in mask bit
+    order, takes the next digit of its left's row."""
     degrees = Counter(chain.from_iterable(graph.neighborhoods))
-    rows = [bytes(map((0.5).__le__, [rng.random() for _ in range(degrees[left])]))
-            for left in range(graph.left_count + 1)]  # BLUE is bit 1
-    cursor = [0] * len(rows)
-    masks = []
-    for lefts in graph.neighborhoods:
-        mask = 0
-        for p, left in enumerate(lefts):
-            mask |= rows[left][cursor[left]] << p
-            cursor[left] += 1
-        masks.append(mask)
-    return EdgeColoring(graph, masks)
+    rows = [iter(bytes(map((0.5).__le__, [rng.random() for _ in range(degrees[left])]))
+                 .translate(_DIGIT)) for left in range(graph.left_count + 1)]  # BLUE is 1
+    text = bytes(map(next, map(rows.__getitem__, chain.from_iterable(graph.neighborhoods))))
+    return _packed(graph, text)
 
 
 @dataclass(frozen=True)

@@ -39,7 +39,7 @@ from math import comb
 
 from .errors import BudgetExceededError, BudgetMeter, ParameterError, ValidationError
 from .graphs import BLUE, RED, Color, _dense_table
-from .subsets import k_subsets, subset_rank, subset_unrank, validate_subset
+from .subsets import is_subset_count, k_subsets, subset_rank, subset_unrank, validate_subset
 
 
 @dataclass(frozen=True)
@@ -58,12 +58,7 @@ class SubsetColoring:
                 f"bad subset-coloring shape (n={self.n}, arity={self.arity}, palette={palette})"
             )
         object.__setattr__(self, "values", _dense_table(self.values, 1, palette))
-        expected = comb(self.n, self.arity)
-        if len(self.values) != expected:
-            raise ValidationError(
-                f"coloring must cover all C({self.n},{self.arity}) = {expected} "
-                f"subsets, got {len(self.values)} values"
-            )
+        _require_total(self.n, self.arity, len(self.values))
 
     def value_of(self, subset):
         """Value of a sorted arity-subset of [n]."""
@@ -80,23 +75,26 @@ class SubsetColoring:
         return cls(n, arity, palette_size, _rank_table(n, arity, mapping.items()))
 
 
+def _require_total(n, arity, count):
+    """ValidationError unless count is C(n, arity), named by formula: the
+    number can run past the 4,300 digits str() converts."""
+    if not is_subset_count(count, n, arity):
+        raise ValidationError(f"coloring must cover all C({n},{arity}) subsets, got {count}")
+
+
 def _rank_table(n, arity, pairs):
     """Values by subset rank from (subset, value) pairs naming each
     arity-subset of [n] once.  Ranks and values are read into columns
     first, so the table is allocated only once their count is right."""
     if n < 0 or arity < 0:
         raise ValidationError(f"bad subset-coloring shape (n={n}, arity={arity})")
-    total = comb(n, arity)
-    # A rank past 2**63 - 1 fits no 'q' slot; a table that large is never total.
-    ranks, values = array("q") if total < 1 << 63 else [], []
+    ranks, values = array("q"), []
     for subset, value in pairs:
-        ranks.append(subset_rank(validate_subset(subset, n, arity), n))
+        rank = subset_rank(validate_subset(subset, n, arity), n)
+        ranks.append(rank if rank < 1 << 63 else -1)  # past a 'q' slot: never total
         values.append(value)
-    if len(ranks) != total:
-        raise ValidationError(
-            f"coloring must cover all C({n},{arity}) = {total} subsets, got {len(ranks)}"
-        )
-    table = [None] * total
+    _require_total(n, arity, len(ranks))
+    table = [None] * len(ranks)
     for r, value in zip(ranks, values):
         if table[r] is not None:
             raise ValidationError(f"duplicate subset {subset_unrank(r, n, arity)}")
@@ -317,8 +315,10 @@ def _first_counterexample(arity, palette, s, n, meter):
     """
     estimate = palette ** comb(n, arity)
     if estimate > meter.limit:
+        # Past about 3,000 digits only the formula: str() stops at 4,300.
+        shown = f" = {estimate}" if estimate.bit_length() < 10_000 else ""
         raise BudgetExceededError(
-            f"enumerating {palette}^C({n},{arity}) = {estimate} colorings at n={n} "
+            f"enumerating {palette}^C({n},{arity}){shown} colorings at n={n} "
             f"exceeds the budget of {meter.limit}",
             estimate=estimate, limit=meter.limit, used=meter.used,
         )

@@ -29,6 +29,12 @@ def subset_rank(subset, n):
     return comb(n, k) - 1 - sum(comb(n - x, k - j) for j, x in enumerate(subset))
 
 
+def is_subset_count(count, n, k):
+    """count == C(n, k), decided without comb when count < n and 0 < k < n,
+    since C(n, k) >= n there (comb(2**31 - 1, 400000) alone takes seconds)."""
+    return not (0 < k < n and count < n) and count == comb(n, k)
+
+
 def subset_unrank(rank, n, k):
     """Inverse of subset_rank: the k-subset of {1,...,n} at the given rank."""
     if not 0 <= rank < comb(n, k):

@@ -4,6 +4,7 @@ import os
 import random
 import subprocess
 import sys
+import time
 from itertools import combinations
 from pathlib import Path
 
@@ -164,6 +165,10 @@ def test_ramsey_number_exit_codes(capsys, monkeypatch):
     assert main(["ramsey-number", "--arity", "2", "--palette", "2", "--size", "3", "--max-n", "6"]) == 0
     assert capsys.readouterr().out.strip() == "6"
     assert main(["ramsey-number", "--arity", "2", "--palette", "2", "--size", "3", "--max-n", "5"]) == 1
+    # 10^C(40,3) is past the 4,300 digits str() converts: still exit 2.
+    assert main(["ramsey-number", "--arity", "3", "--palette", "10", "--size", "40",
+                 "--max-n", "40"]) == 2
+    assert "10^C(40,3) colorings" in capsys.readouterr().err
     monkeypatch.setenv("RW_BUDGET", "50")
     assert main(["ramsey-number", "--arity", "2", "--palette", "2", "--size", "4", "--max-n", "9"]) == 2
 
@@ -246,6 +251,12 @@ def test_extract_induced_reads_find_homogeneous_output_verbatim(tmp_path):
 
 
 INPUT = "<the input file>"  # stands for the case's own file in a later argument
+SHORT_OF_N = {
+    "derive-short-of-n": (["derive-coloring", "--b", "100000"], "c 2147483647 1 R\n"),
+    "subset-short-of-n": (
+        ["find-homogeneous", "--s", "2"], "subsetcoloring 2147483647 400000 2\n"
+    ),
+}
 MALFORMED = {
     "graph-left-token": (["dot"], "bipartite 2 2\ne 1 x\n"),
     "graph-negative-rights": (["dot"], "bipartite 2 -1\n"),
@@ -265,6 +276,11 @@ MALFORMED = {
         ["extract-induced", "--a", "1", "--b", "0", "--homogeneous", INPUT], "c 1 1 R\n"
     ),
     "pattern-no-rights": (["find-induced", INPUT], "bipartite 2 0\n"),
+    # Line counts whose refusal names k*C(n,k) or C(n,k) past str()'s 4,300 digits.
+    "derive-huge-host": (["derive-coloring", "--b", "10000"], "c 2 1 R\nc 40000 1 R\n"),
+    "subset-huge-count": (["find-homogeneous", "--s", "3"], "subsetcoloring 20000 10000 2\n"),
+    # Fewer lines than C(n,k) >= n allows for 0 < k < n: refused before comb.
+    **SHORT_OF_N,
 }
 
 
@@ -275,6 +291,26 @@ def test_malformed_file_is_input_error(tmp_path, capsys, case):
     assert main([command[0], path, *(path if arg == INPUT else arg for arg in command[1:])]) == 3
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "Traceback" not in err
+
+
+@pytest.mark.parametrize("case", sorted(SHORT_OF_N))
+def test_a_short_file_is_refused_before_comb(tmp_path, capsys, case):
+    # comb(2**31 - 1, 199999) or comb(2**31 - 1, 400000) takes 10-20 s.
+    command, text = SHORT_OF_N[case]
+    path = write(tmp_path / "input.txt", text)
+    start = time.perf_counter()
+    assert main([command[0], path, *command[1:]]) == 3
+    assert time.perf_counter() - start < 1
+    assert "C(2147483647," in capsys.readouterr().err
+
+
+def test_usage_errors_are_input_errors(capsys):
+    for argv in (["build", "setgraph", "--n", "x", "--k", "3"], ["build", "setgraph", "--n", "3"],
+                 ["no-such-command"], []):
+        assert main(argv) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("usage: rw") and "Traceback" not in err
+    assert main(["--help"]) == 0 and capsys.readouterr().out.startswith("usage: rw")
 
 
 @pytest.mark.parametrize("command", [["params"], ["derive-coloring", "--b", "2"], ["verify"]])

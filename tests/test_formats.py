@@ -34,6 +34,7 @@ from bipartite_ramsey.formats import (
     subset_coloring_from_text,
     subset_coloring_to_text,
 )
+from bipartite_ramsey import subsets
 from conftest import position_rule_coloring
 
 
@@ -212,3 +213,16 @@ def test_certificate_errors():
     )
     with pytest.raises(ValidationError):
         certificate_from_text(good.replace("wleft 1 1", "wleft 2 1"))
+
+
+def test_short_files_are_refused_without_comb(monkeypatch):
+    # C(n, k) >= n for 0 < k < n, so fewer lines than that bound need no
+    # C(n, k), which for n = 2**31 - 1 can take seconds to compute.
+    def no_comb(n, k):
+        raise AssertionError(f"comb({n}, {k}) called")
+
+    monkeypatch.setattr(subsets, "comb", no_comb)
+    with pytest.raises(ValidationError, match=r"needs 3\*C\(2147483647,3\)$"):
+        infer_set_host("c 2147483647 1 R\nc 1 1 R\nc 2 1 R\n", 3)  # one subset's worth
+    with pytest.raises(ValidationError, match=r"C\(2147483647,2\) subsets, got 0$"):
+        subset_coloring_from_text("subsetcoloring 2147483647 2 2\n")

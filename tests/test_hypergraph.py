@@ -400,6 +400,31 @@ def test_ramsey_exact_refuses_big_enumeration():
         ramsey_number_exact(2, 2, 4, 18, budget=50)
     assert info.value.estimate == 2 ** 6
     assert info.value.estimate > 50
+    assert "2^C(4,2) = 64 colorings" in str(info.value)
+
+
+def test_a_refusal_past_str_digits_names_the_estimate_by_formula():
+    # 10^C(40,3) has 9,881 digits, past the 4,300 that str() converts: the
+    # message names it by formula and the exception still holds the number.
+    with pytest.raises(BudgetExceededError) as info:
+        ramsey_number_exact(3, 10, 40, 40)
+    assert info.value.estimate == 10 ** comb(40, 3)
+    assert str(info.value) == (
+        "enumerating 10^C(40,3) colorings at n=40 exceeds the budget of 100000000"
+    )
+
+
+def test_a_short_subset_coloring_is_refused_before_comb():
+    # C(n, k) >= n for 0 < k < n: fewer than n values is not total, and
+    # comb(2**31 - 1, 400000) alone takes seconds.
+    for make in (lambda: SubsetColoring(2**31 - 1, 400000, 2, b""),
+                 lambda: SubsetColoring.from_map(2**31 - 1, 400000, 2, {})):
+        with pytest.raises(ValidationError, match=r"C\(2147483647,400000\) subsets, got 0"):
+            make()
+    with pytest.raises(ValidationError, match=r"C\(20000,10000\) subsets, got 1$"):
+        SubsetColoring(20000, 10000, 2, b"\1")  # C(20000,10000) has 6,019 digits
+    assert SubsetColoring(3, 3, 2, b"\2").values == b"\2"  # k = n: C(n, k) = 1 < n
+    assert SubsetColoring(3, 0, 2, b"\2").values == b"\2"  # k = 0 likewise
 
 
 def reference_counterexample(arity, palette, s, n):

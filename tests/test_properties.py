@@ -29,9 +29,13 @@ from bipartite_ramsey import (  # noqa: E402
     ParameterError,
     SubsetColoring,
     ValidationError,
+    coloring_from_map,
     complete_bipartite,
+    derive_coloring,
+    encode_derived,
     find_induced_mono_pattern,
     find_induced_monochromatic,
+    majority_positions,
     make_graph,
     random_coloring,
     set_bipartite,
@@ -475,3 +479,65 @@ def test_pipeline_witnesses_pass_both_checkers_on_b_n5(case):
     assert witness is not None or not planted
     if witness is not None:
         assert both_checkers(coloring.graph, witness, coloring) == (True, True)
+
+
+@st.composite
+def packer_cases(draw):
+    """A host and a plain dict coloring each of its edges: a random generic
+    graph (int or subset labels, rights of degree 0 and above 8), K_{n,k},
+    or B_{n,k} lazy or explicit, k odd and so a derive_coloring host."""
+    kind = draw(st.sampled_from(["generic", "complete", "lazy set", "explicit set"]))
+    if kind == "generic":
+        left_count = draw(st.integers(1, 12))
+        if draw(st.booleans()):
+            labels = draw(st.lists(st.integers(-5, 30), min_size=1, max_size=6, unique=True))
+        else:
+            subsets = st.lists(st.integers(1, left_count), min_size=1, max_size=3, unique=True)
+            labels = draw(st.lists(subsets.map(lambda X: tuple(sorted(X))), min_size=1,
+                                   max_size=6, unique=True))
+        density = draw(st.sampled_from([0.0, 0.3, 0.8, 1.0]))
+        rng = random.Random(draw(st.integers(0, 999)))
+        pairs = [(x, y) for x in range(1, left_count + 1) for y in labels if rng.random() < density]
+        host = make_graph(left_count, labels, pairs)
+    elif kind == "complete":
+        host = complete_bipartite(draw(st.integers(1, 10)), draw(st.integers(1, 5)))
+    else:
+        k = draw(st.sampled_from([1, 3, 5]))
+        n = draw(st.integers(k, 9 if k == 5 else 7))
+        host = set_bipartite(n, k)
+        if kind == "explicit set":
+            host = make_graph(n, host.right_labels, [(x, X) for X in host.right_labels for x in X])
+    rng = random.Random(draw(st.integers(0, 999)))
+    edges = [(x, label) for label, lefts in zip(host.right_labels, host.neighborhoods)
+             for x in lefts]
+    return host, {edge: rng.choice((RED, BLUE)) for edge in edges}, rng
+
+
+@SETTINGS
+@hypothesis.given(packer_cases())
+def test_packed_colorings_agree_with_a_plain_edge_dict(case):
+    host, colors, rng = case
+    index = {label: r for r, label in enumerate(host.right_labels, 1)}
+    lines = [f"c {x} {index[label]} {'RB'[color]}\n" for (x, label), color in colors.items()]
+    rng.shuffle(lines)
+    from_map = coloring_from_map(host, colors)
+    colorings = [
+        from_map,
+        formats.coloring_from_text(formats.coloring_to_text(from_map), host),
+        formats.coloring_from_text("".join(lines), host),  # the dict's own text
+    ]
+    for coloring in colorings:
+        for (x, label), color in colors.items():
+            assert coloring.color_of(x, label) is color
+        rows, bits = host.edge_rows(coloring.masks)
+        assert [(x, r, bit) for x, row in enumerate(rows) for r, bit in zip(row, bits[x])] == [
+            (x, index[label], color) for (x, label), color in sorted(
+                colors.items(), key=lambda item: (item[0][0], index[item[0][1]]))
+        ]
+    k = host.membership_arity
+    if k and k % 2:  # B_{n,2b-1}: the derived colorings agree with the dict's majorities
+        b = (k + 1) // 2
+        expected = [encode_derived(majority_positions([colors[(x, X)] for x in X], b), b)
+                    for X in host.right_labels]
+        for coloring in colorings:
+            assert list(derive_coloring(coloring, b).values) == expected

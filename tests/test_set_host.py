@@ -7,6 +7,7 @@ path over it (packing colorings, reading certificates) to the same
 operation on the explicit graph make_graph builds from the same data.
 """
 
+import hashlib
 import random
 from collections import Counter, defaultdict
 from functools import partial
@@ -44,7 +45,7 @@ from bipartite_ramsey.formats import (
     graph_from_text,
     graph_to_text,
 )
-from bipartite_ramsey.graphs import pack_coloring
+from bipartite_ramsey.graphs import _bit, pack_coloring
 from bipartite_ramsey.subsets import SubsetSequence, subset_unrank
 from conftest import position_rule_coloring
 
@@ -368,6 +369,13 @@ def test_random_coloring_draws_are_unchanged(n, k):
         assert random_coloring(explicit, random.Random(seed)).masks == expected
 
 
+def test_random_coloring_of_b_24_7_is_pinned():
+    # The SHA-1 of the masks the per-left cursor assembler drew from this
+    # stream, before random_coloring fed _packed; PARITY_SIZES stop at B_{9,5}.
+    masks = random_coloring(set_bipartite(24, 7), random.Random(1)).masks
+    assert hashlib.sha1(masks).hexdigest() == "403db6a4306d8500d38603259ee5dc35a067a9a2"
+
+
 @pytest.mark.parametrize("n, k", PARITY_SIZES)
 def test_both_hosts_reject_the_same_bad_colorings(n, k):
     lazy, explicit = set_bipartite(n, k), explicit_host(n, k)
@@ -403,12 +411,39 @@ def test_both_hosts_reject_the_same_bad_colorings(n, k):
     assert messages[:half] == messages[half:]  # the same error on either host
 
 
-# -- coloring_from_map against the packer it replaced -------------------------
+# -- the packers against the mask-per-right packer they replaced --------------
+
+
+def reference_pack_coloring(graph, colored_edges):
+    """pack_coloring as it was, verbatim: one neighbour tuple, one mask and
+    one seen mask per right, kept as the reference for the digit packer."""
+    neighborhoods = list(graph.neighborhoods)  # B_{n,k} unranks each right once, not per edge
+    masks = [0] * len(neighborhoods)
+    seen = [0] * len(neighborhoods)
+    count = 0
+    for left, index, color in colored_edges:
+        r = index - 1
+        try:
+            bit = 1 << _bit(neighborhoods[r], left) if r >= 0 else 0
+        except (IndexError, TypeError, ValueError):
+            bit = 0  # no such right, or the left is not one of its neighbours
+        if not bit:
+            raise ValidationError(f"({left!r}, right {index!r}) is not an edge of the graph")
+        if seen[r] & bit or color not in (RED, BLUE):
+            raise ValidationError(f"edge ({left}, right {index}) colored twice or not by a color")
+        seen[r] |= bit
+        masks[r] |= bit * color
+        count += 1
+    if count != graph.edge_count:
+        raise ValidationError(
+            f"coloring is not total: {graph.edge_count - count} edges are uncolored"
+        )
+    return EdgeColoring(graph, masks)
 
 
 def reference_coloring_from_map(graph, mapping):
     """coloring_from_map as it was: a label -> index dict and one
-    pack_coloring triple per key of the map, kept as the reference."""
+    reference_pack_coloring triple per key of the map."""
     index = {label: i for i, label in enumerate(graph.right_labels, 1)}
 
     def colored_edges():
@@ -417,7 +452,7 @@ def reference_coloring_from_map(graph, mapping):
                 raise ValidationError(f"{edge!r} is not an edge of the graph")
             yield edge[0], index[edge[1]], color
 
-    return pack_coloring(graph, colored_edges())
+    return reference_pack_coloring(graph, colored_edges())
 
 
 def from_map_graphs():
@@ -495,6 +530,45 @@ def test_coloring_from_map_matches_the_reference_packer():
             with pytest.raises(TypeError if name == "value 1.0" else ValidationError):
                 reference_coloring_from_map(graph, bad)
     assert kinds == {bytes, tuple}
+
+
+def bad_triples(graph, triples, rng):
+    """Triple lists that pack_coloring must refuse, each named for what is wrong."""
+    i = rng.randrange(len(triples))
+    left, index, color = triples[i]
+    rest = triples[:i] + triples[i + 1:]
+    non_edges = [(x, r) for r, lefts in enumerate(graph.neighborhoods, 1)
+                 for x in graph.lefts if x not in lefts] or [(graph.left_count + 1, index)]
+    x, r = rng.choice(non_edges)
+    return {
+        "extra non-edge": triples + [(x, r, RED)],
+        "non-edge in place of an edge": rest + [(x, r, color)],
+        "duplicate": triples + [triples[i]],
+        "duplicate in place of an edge": rest[:1] + rest,
+        "missing edge": rest,
+        "left 0": rest + [(0, index, color)],
+        **{f"color {c!r}": rest + [(left, index, c)] for c in (2, -1, 63 - 48, None, "R")},
+        **{f"index {j!r}": rest + [(left, j, color)]
+           for j in (0, -1, graph.right_count + 1, 1 << 70)},
+    }
+
+
+def test_pack_coloring_matches_the_reference_packer():
+    rng = random.Random(19)
+    for graph in from_map_graphs():
+        colors = {e: rng.choice((RED, BLUE)) for e in graph.sorted_edges()}
+        index = {label: i for i, label in enumerate(graph.right_labels, 1)}
+        for order in key_orders(graph, rng):  # right-major, left-major, shuffled
+            triples = [(x, index[label], colors[(x, label)]) for x, label in order]
+            # EdgeColoring equality also tells bytes masks from tuple ones
+            assert pack_coloring(graph, iter(triples)) == reference_pack_coloring(graph, triples)
+        if not triples:
+            continue
+        for name, bad in bad_triples(graph, triples, rng).items():
+            for pack in (pack_coloring, reference_pack_coloring):
+                with pytest.raises(ValidationError):
+                    pack(graph, bad)
+                    pytest.fail(f"{pack.__name__} accepted a coloring with {name}")
 
 
 # -- the certificate fast path vs the generic parse --------------------------
@@ -597,6 +671,17 @@ def test_mask_range_check():
     for bad in ([512], [-1], bytes(2), 1):
         with pytest.raises(ValidationError):
             EdgeColoring(wide, bad)
+    # Rights of unequal degree: a bit past a right's own degree is refused,
+    # not dropped by the writer (bytes([2, 0]) once read back as bytes(2)).
+    ragged = make_graph(2, (1, 2), [(1, 1), (1, 2), (2, 2)])  # right 1 has one neighbour
+    assert EdgeColoring(ragged, bytes([1, 3])).masks == bytes([1, 3])
+    text = coloring_to_text(EdgeColoring(ragged, [1, 3]))
+    assert coloring_from_text(text, ragged).masks == bytes([1, 3])
+    wide_and_narrow = make_graph(9, (1, 2), [(x, 1) for x in range(1, 10)] + [(1, 2)])
+    assert EdgeColoring(wide_and_narrow, [511, 1]).masks == (511, 1)
+    for graph, bad in ((ragged, bytes([2, 0])), (ragged, [0, 4]), (wide_and_narrow, [511, 2])):
+        with pytest.raises(ValidationError):
+            EdgeColoring(graph, bad)
 
 
 @pytest.mark.parametrize("n, storage", [(8, bytes), (9, tuple)])
