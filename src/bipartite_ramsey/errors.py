@@ -31,7 +31,16 @@ class BudgetExceededError(RuntimeError):
         super().__init__(message)
         self.used = used
         self.limit = limit
-        self.estimate = estimate
+        self._estimate = estimate
+
+    @property
+    def estimate(self):
+        """The refused search's size, or None.  A callable passed as the
+        estimate is called on first access, so a refusal need not
+        compute a number it does not show."""
+        if callable(self._estimate):
+            self._estimate = self._estimate()
+        return self._estimate
 
 
 class BudgetMeter:

@@ -21,7 +21,7 @@ s_1 - 1.
 from .constructions import set_bipartite
 from .errors import ParameterError
 from .graphs import InducedCopyWitness, verify_witness
-from .hypergraph import _common_value, derive_coloring, encode_derived
+from .hypergraph import _vertex_list, derive_coloring, encode_derived, is_homogeneous
 from .subsets import k_subsets, validate_subset
 
 
@@ -69,9 +69,10 @@ def extract_induced(homogeneous, derived, a, b, host, coloring):
     """Witness for an induced monochromatic B_{a,b} inside a 2-colored
     B_{n,2b-1}, given a homogeneous set for its derived coloring.
 
-    The homogeneous set must have at least a*b + b - 1 elements; only
-    the smallest a*b + b - 1 are used.  Homogeneity (with exactly the
-    claimed derived value) is re-verified from the derived table before
+    The homogeneous set must be integers in [1, n], at least a*b + b - 1
+    of them; only the smallest a*b + b - 1 are used.  Homogeneity (with
+    exactly the claimed derived value) is re-verified from the derived
+    table, by is_homogeneous and the value of the first subset, before
     anything is built: the witness is a certificate, so it is not
     constructed from unchecked assumptions.  The host need not have its
     ground set equal to the homogeneous set; elements are addressed by
@@ -86,16 +87,14 @@ def extract_induced(homogeneous, derived, a, b, host, coloring):
         raise ParameterError(
             f"host must be the full set-membership graph B_(n,{k}), got {host!r}"
         )
-    members = sorted(set(homogeneous))
+    members = _vertex_list(homogeneous, host.left_count)
     if len(members) < s:
         raise ParameterError(
             f"homogeneous set has {len(members)} elements, need a*b + b - 1 = {s}"
         )
-    if members and (members[0] < 1 or members[-1] > host.left_count):
-        raise ParameterError(f"homogeneous set not contained in [1,{host.left_count}]")
     members = members[:s]
-    value, _ = _common_value(derive_coloring(coloring, b).values, host.left_count, k, members)
-    if value != expected:
+    sc = derive_coloring(coloring, b)
+    if not is_homogeneous(sc, members) or sc.value_of(tuple(members[:k])) != expected:
         raise ParameterError(f"set {members} is not homogeneous with value {derived}")
     return construct_induced(members, derived, a, b, host, coloring)
 

@@ -24,7 +24,11 @@ and, when a vertex v joins, looks up only the arity-subsets v completes
 with the prefix; the first disagreement abandons the prefix, since every
 superset of a non-homogeneous set is non-homogeneous too.  Its budget
 counts the subset-value lookups actually made, far fewer than the
-arity-subsets of every s-set in turn.
+arity-subsets of every s-set in turn.  The same search, run on a given
+set's own members for s equal to its size, decides whether that set is
+homogeneous and with which value (is_homogeneous, extract_induced):
+each arity-subset is looked up at most once, and the first disagreement
+ends it.
 
 Everything exhaustive is budgeted: searches refuse loudly instead of
 running unboundedly, since interesting homogeneous-set thresholds are
@@ -34,12 +38,13 @@ astronomically out of reach.  Only micro parameters terminate.
 import operator
 from array import array
 from dataclasses import dataclass
-from itertools import combinations, product
+from itertools import product
 from math import comb
 
 from .errors import BudgetExceededError, BudgetMeter, ParameterError, ValidationError
 from .graphs import BLUE, RED, Color, _dense_table
-from .subsets import is_subset_count, k_subsets, subset_rank, subset_unrank, validate_subset
+from .subsets import capped_comb, is_subset_count, k_subsets, subset_rank, subset_unrank
+from .subsets import validate_subset
 
 
 @dataclass(frozen=True)
@@ -85,13 +90,16 @@ def _require_total(n, arity, count):
 def _rank_table(n, arity, pairs):
     """Values by subset rank from (subset, value) pairs naming each
     arity-subset of [n] once.  Ranks and values are read into columns
-    first, so the table is allocated only once their count is right."""
+    first, so the table is allocated only once their count is right.
+    No count of pairs reaches C(n, arity) >= 2^63, past a column slot:
+    then the pairs are counted for the refusal, and none is ranked."""
     if n < 0 or arity < 0:
         raise ValidationError(f"bad subset-coloring shape (n={n}, arity={arity})")
+    if capped_comb(n, arity, 1 << 63) == 1 << 63:
+        _require_total(n, arity, sum(1 for _ in pairs))
     ranks, values = array("q"), []
     for subset, value in pairs:
-        rank = subset_rank(validate_subset(subset, n, arity), n)
-        ranks.append(rank if rank < 1 << 63 else -1)  # past a 'q' slot: never total
+        ranks.append(subset_rank(validate_subset(subset, n, arity), n))
         values.append(value)
     _require_total(n, arity, len(ranks))
     table = [None] * len(ranks)
@@ -180,44 +188,28 @@ def derive_coloring(coloring, b):
     return SubsetColoring(host.left_count, k, derived_palette_size(b), values)
 
 
-def _common_value(values, n, arity, vertices, meter=None):
-    """The single value a value table (indexed by subset rank, see
-    SubsetColoring) takes on all arity-subsets of the vertex set, as
-    (value, True), or (None, False) if two subsets disagree."""
-    if len(vertices) == n and values:
-        # Whole ground set: its subsets are the dense value table itself.
-        if meter is not None:
-            meter.charge(len(values))
-        first = values[0]
-        ok = values.count(first) == len(values)
-        return (first, True) if ok else (None, False)
-    first = None
-    for subset in combinations(vertices, arity):
-        if meter is not None:
-            meter.charge()
-        value = values[subset_rank(subset, n)]
-        if first is None:
-            first = value
-        elif value != first:
-            return None, False
-    return first, True
+def _vertex_list(vertices, n):
+    """The members of a vertex set, sorted and distinct; ParameterError
+    unless each is an integer in [1, n]."""
+    try:
+        members = sorted({operator.index(v) for v in vertices})
+    except TypeError:
+        raise ParameterError(f"vertices must be integers, got {vertices!r}") from None
+    if members and (members[0] < 1 or members[-1] > n):
+        raise ParameterError(f"vertices {members[0]}..{members[-1]} not contained in [1,{n}]")
+    return members
 
 
 def is_homogeneous(coloring, vertices):
     """True iff all arity-subsets of the vertex set share one value.
 
-    Vacuously true when the set has fewer than arity elements.
+    Vacuously true when the set has fewer than arity elements.  Decided
+    by find_homogeneous_set's search, run on the set's members for an
+    s-set of its own size; that search cannot exceed its budget here.
     """
-    try:
-        vset = sorted({operator.index(v) for v in vertices})
-    except TypeError:
-        raise ParameterError(f"vertices must be integers, got {vertices!r}") from None
-    if vset and (vset[0] < 1 or vset[-1] > coloring.n):
-        raise ParameterError(f"vertex set {vset} not contained in [1,{coloring.n}]")
-    if len(vset) < coloring.arity:
-        return True
-    _, ok = _common_value(coloring.values, coloring.n, coloring.arity, vset)
-    return ok
+    vset, values = _vertex_list(vertices, coloring.n), coloring.values
+    meter = BudgetMeter(len(values) + 1)  # no subset is looked up twice
+    return _homogeneous(values, coloring.n, coloring.arity, vset, len(vset), meter) is not None
 
 
 def find_homogeneous_set(coloring, s, budget=None):
@@ -228,9 +220,9 @@ def find_homogeneous_set(coloring, s, budget=None):
     The value is None in the vacuous case s < arity.  s = n checks the
     whole value table at once; otherwise the search extends a chosen
     prefix depth-first in increasing vertex order, looking up only the
-    arity-subsets each new vertex completes.  One budget check is one
-    subset-value lookup actually made; past the budget the search raises
-    BudgetExceededError.
+    arity-subsets each new vertex completes (is_homogeneous runs the same
+    search on a given set).  One budget check is one subset-value lookup
+    actually made; past the budget the search raises BudgetExceededError.
     """
     try:
         s = operator.index(s)
@@ -240,21 +232,24 @@ def find_homogeneous_set(coloring, s, budget=None):
         raise ParameterError(f"s must be >= 0, got {s}")
     if s > coloring.n:
         return None
-    return _homogeneous(coloring.values, coloring.n, coloring.arity, s, BudgetMeter(budget))
+    meter, n = BudgetMeter(budget), coloring.n
+    found = _homogeneous(coloring.values, n, coloring.arity, range(1, n + 1), s, meter)
+    return None if found is None else (tuple(found[0]), found[1])
 
 
-def _homogeneous(values, n, arity, s, meter):
-    """find_homogeneous_set for 0 <= s <= n on a bare value table."""
+def _homogeneous(values, n, arity, vertices, s, meter):
+    """find_homogeneous_set on a bare value table, over s or more sorted vertices in [n]."""
     if s < arity:
-        return tuple(range(1, s + 1)), None
-    if s == n or arity == 0:  # arity 0: one subset, (), colors all
-        value, ok = _common_value(values, n, arity, range(1, s + 1), meter)
-        return (tuple(range(1, s + 1)), value) if ok else None
-    return _extend_homogeneous(values, n, arity, s, meter)
+        return vertices[:s], None
+    if s == n or arity == 0:  # the whole value table, or its one subset ()
+        meter.charge(len(values))
+        first = values[0]
+        return (vertices[:s], first) if values.count(first) == len(values) else None
+    return _extend_homogeneous(values, n, arity, vertices, s, meter)
 
 
-def _extend_homogeneous(values, n, k, s, meter):
-    """Depth-first search for 1 <= k = arity <= s < n.
+def _extend_homogeneous(values, n, k, vertices, s, meter):
+    """Depth-first search for 1 <= k = arity <= s < n, over s or more vertices.
 
     Vertices join the chosen prefix in increasing order, so complete
     s-sets are reached in combinations order, and a prefix that is not
@@ -266,23 +261,27 @@ def _extend_homogeneous(values, n, k, s, meter):
     prefix, so the subset Y + (v,) completed by a new vertex v ranks
     top - sums[k-1][Y] + v, with top = C(n,k) - 1 - n.
     """
+    vertices = tuple(vertices)  # indexes faster than the range [n] callers pass
     top = len(values) - 1 - n
     sums = [[0]] + [[] for _ in range(k - 1)]
     chosen = []
     value = None  # fixed by the prefix's first k vertices
-    v = 1
+    last = len(vertices) - s  # the last position the prefix's next vertex may take
+    i = 0
     while True:
-        if v > n - s + len(chosen) + 1:
+        if i > last:
             # Too few vertices left to complete this prefix: backtrack.
             if not chosen:
                 return None
-            v = chosen.pop() + 1
+            i = vertices.index(chosen.pop(), len(chosen)) + 1  # a position is >= its depth
+            last -= 1
             depth = len(chosen)
             for t, level in enumerate(sums):
                 del level[comb(depth, t):]
             if depth < k:
                 value = None
             continue
+        v = vertices[i]
         new = value
         for partial in sums[-1]:
             meter.charge()
@@ -300,8 +299,9 @@ def _extend_homogeneous(values, n, k, s, meter):
                 c = comb(n - v, k - t + 1)
                 sums[t].extend([p + c for p in sums[t - 1]])
             chosen.append(v)
+            last += 1
             value = new
-        v += 1
+        i += 1
 
 
 def _first_counterexample(arity, palette, s, n, meter):
@@ -313,17 +313,27 @@ def _first_counterexample(arity, palette, s, n, meter):
     Odometer order: values listed by subset rank, the last position
     (lexicographically largest subset) ticking fastest, all-1s first.
     """
-    estimate = palette ** comb(n, arity)
-    if estimate > meter.limit:
+    bits = palette.bit_length()
+    subsets = capped_comb(n, arity, 1 << 16)
+    # Unless palette^C(n,arity) has under 2^16 bits, it is computed only
+    # when its lower bound 2^(C(n,arity) * (bits - 1)) is within the budget.
+    if subsets * bits < 1 << 16 or subsets * (bits - 1) < meter.limit.bit_length():
+        subsets = comb(n, arity)
+        estimate = palette ** subsets
+    else:
+        estimate = None
+    if estimate is None or estimate > meter.limit:
         # Past about 3,000 digits only the formula: str() stops at 4,300.
-        shown = f" = {estimate}" if estimate.bit_length() < 10_000 else ""
+        shown = f" = {estimate}" if estimate and estimate.bit_length() < 10_000 else ""
         raise BudgetExceededError(
             f"enumerating {palette}^C({n},{arity}){shown} colorings at n={n} "
             f"exceeds the budget of {meter.limit}",
-            estimate=estimate, limit=meter.limit, used=meter.used,
+            estimate=estimate or (lambda: palette ** comb(n, arity)),
+            limit=meter.limit, used=meter.used,
         )
-    for values in product(range(1, palette + 1), repeat=comb(n, arity)):
-        if _homogeneous(values, n, arity, s, meter) is None:
+    vertices = range(1, n + 1)
+    for values in product(range(1, palette + 1), repeat=subsets):
+        if _homogeneous(values, n, arity, vertices, s, meter) is None:
             return SubsetColoring(n, arity, palette, values)
     return None
 

@@ -29,10 +29,23 @@ def subset_rank(subset, n):
     return comb(n, k) - 1 - sum(comb(n - x, k - j) for j, x in enumerate(subset))
 
 
+def capped_comb(n, k, cap):
+    """min(C(n, k), cap) for n, k >= 0, in at most cap.bit_length() + 1
+    products however large n and k are, since C(n, j) >= 2^j for
+    j <= n/2 (comb(2**31 - 1, 400000) alone takes seconds)."""
+    if k > n:
+        return 0
+    count = 1
+    for j in range(min(k, n - k)):
+        if count >= cap:
+            break
+        count = count * (n - j) // (j + 1)  # C(n, j + 1)
+    return min(count, cap)
+
+
 def is_subset_count(count, n, k):
-    """count == C(n, k), decided without comb when count < n and 0 < k < n,
-    since C(n, k) >= n there (comb(2**31 - 1, 400000) alone takes seconds)."""
-    return not (0 < k < n and count < n) and count == comb(n, k)
+    """count == C(n, k), decided without computing a C(n, k) past count."""
+    return capped_comb(n, k, count + 1) == count
 
 
 def subset_unrank(rank, n, k):

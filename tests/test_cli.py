@@ -169,6 +169,11 @@ def test_ramsey_number_exit_codes(capsys, monkeypatch):
     assert main(["ramsey-number", "--arity", "3", "--palette", "10", "--size", "40",
                  "--max-n", "40"]) == 2
     assert "10^C(40,3) colorings" in capsys.readouterr().err
+    start = time.perf_counter()  # 10^C(40,7) alone takes about 30 s to compute
+    assert main(["ramsey-number", "--arity", "7", "--palette", "10", "--size", "40",
+                 "--max-n", "40"]) == 2
+    assert time.perf_counter() - start < 1
+    assert "10^C(40,7) colorings" in capsys.readouterr().err
     monkeypatch.setenv("RW_BUDGET", "50")
     assert main(["ramsey-number", "--arity", "2", "--palette", "2", "--size", "4", "--max-n", "9"]) == 2
 
@@ -255,6 +260,11 @@ SHORT_OF_N = {
     "derive-short-of-n": (["derive-coloring", "--b", "100000"], "c 2147483647 1 R\n"),
     "subset-short-of-n": (
         ["find-homogeneous", "--s", "2"], "subsetcoloring 2147483647 400000 2\n"
+    ),
+    # One line of 20,000 vertices, 108 KB: C(n, k) >= 2^63, so no line is ranked.
+    "subset-past-a-slot": (
+        ["find-homogeneous", "--s", "3"],
+        f"subsetcoloring 2147483647 20000 2\nsc {','.join(map(str, range(1, 20001)))} 1\n",
     ),
 }
 MALFORMED = {

@@ -1,5 +1,6 @@
 """Right-vertex construction and induced monochromatic extraction."""
 
+import random
 from itertools import combinations
 
 import pytest
@@ -13,12 +14,15 @@ from bipartite_ramsey import (
     build_right_vertex,
     constant_coloring,
     coloring_from_map,
+    decode_derived,
+    derive_coloring,
     extract_induced,
     find_induced_monochromatic,
     set_bipartite,
     verify_witness,
 )
 from conftest import position_rule_coloring
+from test_hypergraph import reference_common_value
 
 
 def test_build_right_vertex_reference_cases():
@@ -117,6 +121,50 @@ def test_extract_rejects_short_or_inhomogeneous_sets(b93):
         extract_induced(range(1, 10), DerivedColor(RED, (1, 2)), 4, 2, b93, coloring)
     with pytest.raises(ParameterError):
         extract_induced(range(1, 10), DerivedColor(BLUE, (1, 3)), 4, 2, b93, coloring)
+
+
+@pytest.mark.parametrize("members", [[1.0, *range(2, 9)], ["1", *range(2, 9)], range(0, 8),
+                                     range(3, 11)])
+def test_extract_refuses_members_that_are_not_integers_in_range(members):
+    host = set_bipartite(9, 3)
+    with pytest.raises(ParameterError):
+        extract_induced(members, DerivedColor(RED, (1, 2)), 3, 2, host, constant_coloring(host, RED))
+
+
+def test_extract_accepts_exactly_the_value_of_the_reference_walk():
+    # A position rule with a few edges flipped, on B_{n,3} (b = 2): the
+    # check passes for the one value all 3-subsets of the members share.
+    rng = random.Random(5)
+    accepted = rejected_homogeneous = rejected_mixed = 0
+    for _ in range(60):
+        n, a = rng.randint(5, 8), rng.randint(2, 3)
+        s = 2 * a + 1
+        if s > n:
+            continue
+        host = set_bipartite(n, 3)
+        rule = position_rule_coloring(host, rng.choice([RED, BLUE]), rng.choice(sorted(FIGURE_CASES)))
+        flip = rng.choice([0, 0.01, 0.05])
+        coloring = coloring_from_map(host, {
+            (z, X): RED if (rule.color_of(z, X) is RED) != (rng.random() < flip) else BLUE
+            for X in host.right_labels for z in X
+        })
+        members = sorted(rng.sample(range(1, n + 1), rng.randint(s, n)))
+        values = derive_coloring(coloring, 2).values
+        expected = reference_common_value(values, n, 3, members[:s])
+        for value in range(1, 7):
+            derived = decode_derived(value, 2)
+            if expected == (value, True):
+                witness = extract_induced(members, derived, a, 2, host, coloring)
+                assert verify_witness(host, witness, coloring) is True
+                accepted += 1
+            else:
+                with pytest.raises(ParameterError):
+                    extract_induced(members, derived, a, 2, host, coloring)
+                if expected[1]:
+                    rejected_homogeneous += 1
+                else:
+                    rejected_mixed += 1
+    assert accepted and rejected_homogeneous and rejected_mixed
 
 
 def test_extract_rejects_wrong_host_shape():

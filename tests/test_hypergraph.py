@@ -29,6 +29,7 @@ from bipartite_ramsey import (
     set_bipartite,
     subset_rank,
 )
+from bipartite_ramsey import hypergraph
 from conftest import position_rule_coloring
 
 
@@ -211,7 +212,7 @@ def test_find_homogeneous_at_six_always_present():
         assert found is not None
         vertices, value = found
         assert len(vertices) == 3
-        assert is_homogeneous(sc, vertices)
+        assert reference_common_value(sc.values, 6, 2, vertices) == (value, True)
         assert all(sc.value_of(pair) == value for pair in combinations(vertices, 2))
 
 
@@ -232,6 +233,29 @@ def test_find_homogeneous_budget():
     sc = SubsetColoring.from_map(12, 2, 2, mapping)
     with pytest.raises(BudgetExceededError):
         find_homogeneous_set(sc, 6, budget=20)
+
+
+def reference_common_value(values, n, arity, vertices, meter=None):
+    """The single value a value table (indexed by subset rank, see
+    SubsetColoring) takes on all arity-subsets of the vertex set, as
+    (value, True), or (None, False) if two subsets disagree."""
+    if len(vertices) == n and values:
+        # Whole ground set: its subsets are the dense value table itself.
+        if meter is not None:
+            meter.charge(len(values))
+        first = values[0]
+        ok = values.count(first) == len(values)
+        return (first, True) if ok else (None, False)
+    first = None
+    for subset in combinations(vertices, arity):
+        if meter is not None:
+            meter.charge()
+        value = values[subset_rank(subset, n)]
+        if first is None:
+            first = value
+        elif value != first:
+            return None, False
+    return first, True
 
 
 def brute_force_homogeneous(sc, s):
@@ -259,7 +283,7 @@ def random_subset_coloring(rng, n, arity, palette):
 def assert_homogeneous_answer(sc, s, found):
     vertices, value = found
     assert vertices == tuple(sorted(set(vertices))) and len(vertices) == s
-    assert is_homogeneous(sc, vertices)
+    assert reference_common_value(sc.values, sc.n, sc.arity, vertices) == (value, True)
     if s < sc.arity:
         assert value is None
     else:
@@ -326,6 +350,59 @@ def test_find_homogeneous_property():
         assert find_homogeneous_set(sc, s) == brute_force_homogeneous(sc, s)
 
     check()
+
+
+def test_is_homogeneous_agrees_with_the_reference_walk():
+    rng = random.Random(21)
+    kinds = set()
+    for _ in range(300):
+        arity, n = rng.randint(0, 4), rng.randint(0, 9)
+        palette = rng.choice([1, 2, 3, 300])
+        sc = random_subset_coloring(rng, n, arity, palette)
+        for size in range(n + 1):
+            members = rng.sample(range(1, n + 1), size)
+            expected = reference_common_value(sc.values, n, arity, sorted(members))[1]
+            assert is_homogeneous(sc, members) is expected, (n, arity, palette, members)
+            kinds.update(kind for kind, hit in [
+                ("arity 0", arity == 0 and size > 0),
+                ("smaller than the arity", 0 < size < arity),
+                ("whole set, not homogeneous", size == n and not expected),
+                ("tuple values, not homogeneous", palette > 255 and not expected),
+                ("tuple values, homogeneous", palette > 255 and expected and size > arity),
+            ] if hit)
+    assert len(kinds) == 5
+
+
+# (seed, s): find_homogeneous_set's answer and BudgetMeter.used on a random
+# 2-coloring of the pairs of [22], the search-micro bench's shape.
+SEARCH_MICRO_PINS = {
+    (0, 6): (((4, 7, 8, 12, 15, 16), 1), 2763),
+    (0, 8): (None, 3648),
+    (1, 6): (((3, 7, 17, 19, 20, 22), 2), 1674),
+    (1, 8): (None, 2863),
+    (2, 6): (None, 5885),
+    (2, 8): (None, 3916),
+    (3, 6): (((2, 3, 7, 9, 19, 21), 2), 919),
+    (3, 8): (None, 3468),
+    (4, 6): (((2, 3, 8, 11, 16, 18), 2), 1166),
+    (4, 8): (None, 3934),
+}
+
+
+def test_search_micro_answers_and_lookups_are_pinned(monkeypatch):
+    meters = []
+
+    class Meter(hypergraph.BudgetMeter):
+        def __init__(self, limit=None):
+            super().__init__(limit)
+            meters.append(self)
+
+    monkeypatch.setattr(hypergraph, "BudgetMeter", Meter)
+    for (seed, s), (answer, used) in SEARCH_MICRO_PINS.items():
+        rng = random.Random(seed)
+        sc = SubsetColoring(22, 2, 2, tuple(rng.randint(1, 2) for _ in range(comb(22, 2))))
+        assert find_homogeneous_set(sc, s) == answer, (seed, s)
+        assert meters[-1].used == used, (seed, s)
 
 
 @pytest.mark.parametrize("s", [2.5, "3", None])
@@ -412,6 +489,17 @@ def test_a_refusal_past_str_digits_names_the_estimate_by_formula():
     assert str(info.value) == (
         "enumerating 10^C(40,3) colorings at n=40 exceeds the budget of 100000000"
     )
+
+
+def test_a_refusal_decided_by_the_bound_computes_its_estimate_on_access():
+    # C(400,2) = 79,800 >= 2^16: refused since 2^C(400,2) >= 2^27 > 10^8.
+    with pytest.raises(BudgetExceededError) as info:
+        ramsey_number_exact(2, 2, 400, 400)
+    assert str(info.value) == (
+        "enumerating 2^C(400,2) colorings at n=400 exceeds the budget of 100000000"
+    )
+    assert info.value.estimate == 2 ** comb(400, 2)
+    assert info.value.limit == 100_000_000 and info.value.used == 0
 
 
 def test_a_short_subset_coloring_is_refused_before_comb():

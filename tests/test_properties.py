@@ -10,7 +10,11 @@ reads only the certificate text and shares no code with the package.
 """
 
 import io
+import os
 import random
+import resource
+import subprocess
+import sys
 from contextlib import contextmanager, redirect_stderr, redirect_stdout
 from itertools import combinations
 from math import comb
@@ -541,3 +545,89 @@ def test_packed_colorings_agree_with_a_plain_edge_dict(case):
                     for X in host.right_labels]
         for coloring in colorings:
             assert list(derive_coloring(coloring, b).values) == expected
+
+
+# -- refusals cost what the input costs -----------------------------------------
+
+MAX_INDEX = 2**31 - 1  # the largest count a file may name
+NUMBERS = st.integers(0, MAX_INDEX)
+# Each run ends with an exit code 0-3 and no traceback within REFUSAL_S
+# seconds.  On a 2-core x86-64 container the slowest of 500 runs took
+# 0.1 s, Python's start-up included (0.06 s on average); the bound leaves
+# twenty times that for CI's slowest matrix entry, and is still below the
+# 1 s to minutes these refusals used to take.
+REFUSAL_S = 2
+SRC = str(Path(__file__).resolve().parent.parent / "src")
+
+
+@st.composite
+def subset_coloring_runs(draw):
+    """rw find-homogeneous on a header of any shape and up to two lines,
+    each naming a run of consecutive vertices."""
+    n = draw(NUMBERS)
+    arity = draw(st.integers(0, n))
+    palette = draw(st.integers(1, MAX_INDEX))
+    lines = [f"subsetcoloring {n} {arity} {palette}\n"]
+    for _ in range(draw(st.integers(0, 2))):
+        size = min(arity, draw(st.integers(0, 20_000)))
+        first = draw(st.integers(1, max(1, n - size + 1)))
+        vertices = ",".join(map(str, range(first, first + size)))
+        lines.append(f"sc {vertices} {draw(st.integers(1, palette))}\n")
+    s = str(draw(st.integers(0, 9)))
+    return ["find-homogeneous", "sc.txt", "--s", s], {"sc.txt": "".join(lines)}
+
+
+@st.composite
+def ramsey_runs(draw):
+    # Palette 1 is left out: its one coloring holds C(n, arity) values (FOUND 45).
+    options = [str(draw(NUMBERS)), str(draw(st.integers(2, MAX_INDEX)))]
+    options += [str(draw(NUMBERS)), str(draw(NUMBERS))]
+    names = ["--arity", "--palette", "--size", "--max-n"]
+    return ["ramsey-number", *(word for pair in zip(names, options) for word in pair)], {}
+
+
+@st.composite
+def coloring_runs(draw):
+    """A reading command on up to three c lines and, for extract-induced,
+    a homogeneous set, with every number and option drawn up to MAX_INDEX."""
+    lines = draw(st.lists(st.tuples(NUMBERS, NUMBERS, st.sampled_from("RB")), max_size=3))
+    a, b = str(draw(NUMBERS)), str(draw(NUMBERS))
+    command = draw(st.sampled_from([
+        ["derive-coloring", "c.txt", "--b", b],
+        ["extract-complete", "c.txt", "--a", a, "--b", b],
+        ["extract-induced", "c.txt", "--a", a, "--b", b, "--homogeneous", "h.txt"],
+    ]))
+    members = draw(st.lists(NUMBERS, max_size=4))
+    return command, {
+        "c.txt": "".join(f"c {x} {y} {color}\n" for x, y, color in lines),
+        "h.txt": formats.homogeneous_to_text(members, draw(st.none() | NUMBERS)),
+    }
+
+
+def test_huge_numbers_end_in_an_exit_code_at_once(tmp_path_factory):
+    """ROADMAP item 9: a few bytes of input cost a refusal no more than
+    their own size.  Each run is a fresh rw process of at most 1 GiB, so
+    a run that would fill the memory fails at once, and one that hangs
+    is stopped.  A budget of 10^4 keeps every enumeration it allows short,
+    so only a refusal could be slow."""
+    folder = tmp_path_factory.mktemp("refusals")
+    env = {**os.environ, "RW_BUDGET": "10000",
+           "PYTHONPATH": os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))}
+
+    def one_gib():
+        resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+    @hypothesis.settings(deadline=None, max_examples=hypothesis.settings.default.max_examples // 2)
+    @hypothesis.given(subset_coloring_runs() | ramsey_runs() | coloring_runs())
+    def check(run):
+        argv, files = run
+        for name, text in files.items():
+            (folder / name).write_text(text, encoding="utf-8")
+        argv = [str(folder / word) if word in files else word for word in argv]
+        proc = subprocess.run([sys.executable, "-m", "bipartite_ramsey.cli", *argv], env=env,
+                              capture_output=True, text=True, timeout=REFUSAL_S,
+                              preexec_fn=one_gib)
+        assert proc.returncode in (0, 1, 2, 3), (argv, proc.stderr[-500:])
+        assert "Traceback" not in proc.stderr, (argv, proc.stderr[-500:])
+
+    check()
