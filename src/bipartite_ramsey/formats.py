@@ -36,25 +36,36 @@ Blank lines and lines starting with '#' are ignored everywhere.
 
 Every reader takes the text as a str or as an open text file and reads
 it once, in blocks of 64 KiB characters split exactly as str.splitlines
-splits, so a file is never held whole.  An edge coloring is read into
-three columns (lefts, right indices, color bits), from which
-complete_coloring_from_text and set_coloring_from_text also infer the
-host; a certificate is read section by section.  Every writer is a
+splits, so a file is never held whole.  c, e, rlabel and sc lines come
+a run at a time (see _Lines): two or more lines as the writers emit them
+(one space between fields, ASCII digits, "\n"), split once and converted
+a column at a time.  Any other line goes to the line parser, the only
+place that refuses a line, with the message it would give with no runs.
+An edge coloring is read into three columns (lefts, right indices, color
+bits), from which complete_coloring_from_text and set_coloring_from_text
+also infer the host; pack_coloring packs columns in mask bit order, or
+left by left as every writer lists edges, without a search per edge.
+Graph text that spells B_{n,k} as the writers do is recognized from its
+columns, and sc lines in lexicographic order are the value table as
+read.  A certificate is read section by section.  Every writer is a
 generator of chunks, one per left for edge lines (from
-BipartiteGraph.edge_rows) and one per batch of lines otherwise; each
-*_to_text (and export_dot) is the join of its generator.
+BipartiteGraph.edge_rows, walked once for a certificate) and one per
+batch of lines otherwise; each *_to_text (and export_dot) is the join of
+its generator.
 """
 
+import re
 from array import array
 from functools import partial
-from itertools import islice, repeat
+from itertools import chain, combinations, islice, repeat
+from operator import eq
 
 from .constructions import complete_bipartite, set_bipartite
 from .errors import ParameterError, ValidationError
-from .graphs import BipartiteGraph, Color, InducedCopyWitness, _resolve, pack_coloring
-from .graphs import set_graph_arity
+from .graphs import BipartiteGraph, Color, InducedCopyWitness, _in_mask_order, _resolve
+from .graphs import pack_coloring, set_graph_arity
 from .hypergraph import SubsetColoring, _rank_table
-from .subsets import is_subset_count
+from .subsets import SubsetSequence, is_subset_count
 
 _BLOCK = 1 << 16  # characters read at a time
 _BATCH = 4096  # lines per chunk where there is no left to chunk by
@@ -62,24 +73,53 @@ _MAX_INDEX = (1 << 31) - 1  # vertex indices are 4-byte, as in array("i") column
 _SECTIONS = ("host", "coloring", "pattern", "witness")
 
 
-def _content_lines(source):
-    """The stripped lines of a str or an open text file that are neither
-    blank nor '#' comments, split exactly as str.splitlines splits."""
-    if isinstance(source, str):
-        blocks = (source[i : i + _BLOCK] for i in range(0, len(source), _BLOCK))
-    else:
-        blocks = _blocks(source)
-    tail = ""
-    for block in blocks:
-        lines = (tail + block).splitlines(True)
-        tail = lines.pop()  # kept with its line break: it may go on in the next block
-        for raw in lines:
-            line = raw.strip()
-            if line and line[0] != "#":
-                yield line
-    line = tail.strip()
-    if line and line[0] != "#":
-        yield line
+class _Lines:
+    """The content lines of a str or an open text file: stripped, neither
+    blank nor '#' comments, split exactly as str.splitlines splits.  A
+    parser may set pattern, a regex for two or more of its lines in the
+    writers' form, each ending in "\n": where it matches, the match comes
+    whole, a run with its line breaks (lines are stripped, so only a run
+    ends in one).  Elsewhere the reader goes on line by line, one line and
+    then twice as many characters before each next try.  A run the parser
+    sets as again comes next, line by line, for the line parser."""
+
+    def __init__(self, source):
+        self.pattern = self.again = None
+        if isinstance(source, str):
+            blocks = (source[i : i + _BLOCK] for i in range(0, len(source), _BLOCK))
+        else:
+            blocks = _blocks(source)
+        self._items = self._scan(blocks)
+
+    def __iter__(self):
+        return self._items
+
+    def __next__(self):
+        return next(self._items)
+
+    def _scan(self, blocks):
+        tail = ""
+        for block in blocks:
+            text, pos, size = tail + block, 0, 1
+            while True:
+                run = self.pattern and self.pattern.match(text, pos)
+                if run:
+                    yield run.group()
+                    yield from self.again.splitlines() if self.again else ()
+                    self.again, pos, size = None, run.end(), 1
+                    continue
+                end = text.find("\n", pos + size) + 1  # 0 when no line ends past pos + size
+                raws = text[pos : end or len(text)].splitlines(True)
+                tail = "" if end or not raws else raws.pop()  # it may go on in the next block
+                for line in map(str.strip, raws):
+                    if line and line[0] != "#":
+                        yield line
+                if not end:
+                    break
+                pos, size = end, 2 * size
+        line = tail.strip()
+        if line and line[0] != "#":
+            yield line
 
 
 def _blocks(file):
@@ -103,6 +143,13 @@ def _int(token, what):
         raise ValidationError(f"bad {what} {token!r}: expected an integer")
 
 
+def _column(tokens, high=_MAX_INDEX):
+    """array('i') of a run's integer fields, or None unless each is in
+    1..high: the run is then re-read line by line, for the line parser."""
+    values = list(map(int, tokens))
+    return array("i", values) if 1 <= min(values) and max(values) <= high else None
+
+
 def _parse_subset(token):
     try:
         return tuple(map(int, token.split(",")))
@@ -119,18 +166,23 @@ def _format_label(label):
 # -- graphs ------------------------------------------------------------
 
 
-def graph_chunks(graph):
-    """graph_to_text a chunk at a time: header, rlabel lines, each left's e lines."""
+def graph_chunks(graph, rows=None):
+    """graph_to_text a chunk at a time: header, rlabel lines, each left's e
+    lines.  rows, if given, is each left's right indices as _index_lines
+    formats them (certificate_chunks shares them with the c lines)."""
     yield f"bipartite {graph.left_count} {len(graph.right_labels)}\n"
     for batch in _batches(enumerate(graph.right_labels, 1)):
         yield "".join([
             f"rlabel {i} {_format_label(label)}\n" for i, label in batch if isinstance(label, tuple)
         ])
-    rows, _ = graph.edge_rows()
-    for left, row in enumerate(rows):
-        if row:
-            sep = f"\ne {left} "
-            yield sep[1:] + sep.join(map(str, row)) + "\n"
+    for left, text in enumerate(map(_index_lines, graph.edge_rows()[0]) if rows is None else rows):
+        if text:
+            yield f"e {left} " + text.replace("\n", f"\ne {left} ") + "\n"
+
+
+def _index_lines(row):
+    """A left's right indices, one a line (with no final line break)."""
+    return "\n".join(map(str, row))
 
 
 def graph_to_text(graph):
@@ -138,12 +190,17 @@ def graph_to_text(graph):
 
 
 def graph_from_text(source):
-    return _read_graph(_content_lines(source))[0]
+    return _read_graph(_Lines(source))[0]
+
+
+_GRAPH_RUN = re.compile(r"(?:e [0-9]+ [0-9]+\n){2,}|(?:rlabel [0-9]+ [0-9]+(?:,[0-9]+)*\n){2,}")
 
 
 def _read_graph(lines, sections=()):
     """(graph, the line that ended it or None) from content lines: the
-    header, then rlabel and e lines up to one whose first word is in sections."""
+    header, then rlabel and e lines, read into columns, up to one whose
+    first word is in sections."""
+    lines.pattern = None
     header = next(lines, "")
     if not header.startswith("bipartite"):
         raise ValidationError("graph text must start with a 'bipartite' header")
@@ -153,32 +210,83 @@ def _read_graph(lines, sections=()):
     left_count, right_count = _int(fields[1], "left count"), _int(fields[2], "right count")
     if not (0 <= left_count <= _MAX_INDEX and 0 <= right_count <= _MAX_INDEX):
         raise ValidationError(f"bad graph header {header!r}: counts must be 0..{_MAX_INDEX}")
-    labels = list(range(1, right_count + 1))
-    neighborhoods = [[] for _ in labels]  # lefts per right, as read
+    lefts, rights = array("i"), array("i")  # per e line
+    labeled, subsets = array("i"), []  # per rlabel line: its index and its subset field
+    lines.pattern = _GRAPH_RUN
     for line in lines:
         parts = line.split()
         if parts[0] == "e" and len(parts) == 3:
             left, idx = _int(parts[1], "left"), _int(parts[2], "right index")
             if not 1 <= idx <= right_count:
                 raise ValidationError(f"edge right index {idx} out of range")
-            neighborhoods[idx - 1].append(left)
+            try:
+                lefts.append(left)
+            except OverflowError:  # no left of any graph: BipartiteGraph names it
+                lefts = [*lefts, left]
+            rights.append(idx)
         elif parts[0] == "rlabel" and len(parts) in (2, 3):  # the empty subset has no field
             idx = _int(parts[1], "rlabel index")
             if not 1 <= idx <= right_count:
                 raise ValidationError(f"rlabel index {idx} out of range")
-            labels[idx - 1] = _parse_subset(parts[2]) if len(parts) == 3 else ()
+            labeled.append(idx)
+            subsets.append(parts[2] if len(parts) == 3 else "")
+            if subsets[-1]:
+                _parse_subset(subsets[-1])  # refused here, in line order
+        elif line[-1] == "\n":  # a run of e lines or of rlabel lines, three fields each
+            if parts[0] == "e":
+                run = _column(parts[1::3]), _column(parts[2::3], right_count)
+            else:
+                run = _column(parts[1::3], right_count), parts[2::3]
+            if None in run:
+                lines.again = line
+            elif parts[0] == "e":
+                lefts += run[0]
+                rights += run[1]
+            else:
+                labeled += run[0]
+                subsets += run[1]
         elif parts[0] in sections:
             break
         else:
             raise ValidationError(f"unrecognized graph line {line!r}")
     else:
         line = None
-    labels = tuple(labels)
-    neighborhoods = tuple(tuple(sorted(set(lefts))) for lefts in neighborhoods)  # drop repeats
+    k = _spelled_set_arity(left_count, right_count, labeled, subsets, lefts, rights)
+    if k:  # its subsets are its labels and its neighbourhoods alike
+        labels = neighborhoods = SubsetSequence(left_count, k)
+    else:
+        labels = list(range(1, right_count + 1))
+        for idx, subset in zip(labeled, subsets):
+            labels[idx - 1] = _parse_subset(subset) if subset else ()
+        neighborhoods = [[] for _ in labels]  # lefts per right, as read
+        for left, idx in zip(lefts, rights):
+            neighborhoods[idx - 1].append(left)
+        labels = tuple(labels)
+        neighborhoods = tuple(tuple(sorted(set(adjacent))) for adjacent in neighborhoods)
     k = set_graph_arity(left_count, labels, neighborhoods)
     if k:  # text that is exactly B_{n,k} reads as the lazy host
         return set_bipartite(left_count, k), line
-    return BipartiteGraph(left_count, labels, neighborhoods), line
+    # tuple(): B_{n,k}'s own subsets make a graph like any other if set_graph_arity declines them
+    return BipartiteGraph(left_count, tuple(labels), tuple(neighborhoods)), line
+
+
+def _spelled_set_arity(n, right_count, labeled, subsets, lefts, rights):
+    """k when the columns read spell B_{n,k} as its writers do: rlabel runs
+    naming rights 1..C(n,k) in turn by its k-subsets, in lexicographic
+    order, and e lines listing each edge once as _in_mask_order takes
+    them; else 0."""
+    k = subsets[0].count(",") + 1 if subsets and subsets[0] else 0
+    if 1 <= k <= n and len(lefts) == k * right_count and is_subset_count(right_count, n, k):
+        host = set_bipartite(n, k)
+        if labeled == array("i", range(1, right_count + 1)) and len(subsets) == right_count:
+            if all(map(eq, subsets, _subset_names(host.neighborhoods, n))):
+                return k if _in_mask_order(host, lefts, rights) else 0
+    return 0
+
+
+def _subset_names(subsets, n):
+    """Each subset of [n] as rlabel and sc lines spell it."""
+    return map(",".join, map(map, repeat(list(map(str, range(n + 1))).__getitem__), subsets))
 
 
 # -- edge colorings ----------------------------------------------------
@@ -187,16 +295,19 @@ def _read_graph(lines, sections=()):
 _LETTER = (" R", " B")  # by color bit
 
 
-def coloring_chunks(coloring):
-    """coloring_to_text a chunk at a time: each left's c lines."""
+def coloring_chunks(coloring, rows=None, bits=None):
+    """coloring_to_text a chunk at a time: each left's c lines.  rows and
+    bits, if given, are the graph's as certificate_chunks has them."""
     graph = coloring.graph
     if not graph.edge_count:
         yield "\n"  # an edgeless coloring's text is one empty line
-    rows, bits = graph.edge_rows(coloring.masks)
-    for left, row in enumerate(rows):
-        if row:
+    if rows is None:
+        rows, bits = graph.edge_rows(coloring.masks)
+        rows = map(_index_lines, rows)
+    for left, text in enumerate(rows):
+        if text:
             sep = f"\nc {left} "
-            lines = map(str.__add__, map(str, row), map(_LETTER.__getitem__, bits[left]))
+            lines = map(str.__add__, text.split("\n"), map(_LETTER.__getitem__, bits[left]))
             yield sep[1:] + sep.join(lines) + "\n"
 
 
@@ -205,6 +316,8 @@ def coloring_to_text(coloring):
 
 
 _BIT_OF_LETTER = {"R": 0, "B": 1}
+_BIT_OF_BYTE = bytes.maketrans(b"RB", b"\0\1")
+_C_RUN = re.compile(r"(?:c [0-9]+ [0-9]+ [RB]\n){2,}")
 
 
 def _read_coloring(lines, sections=()):
@@ -213,10 +326,20 @@ def _read_coloring(lines, sections=()):
     bytearray, up to a line whose first word is in sections."""
     lefts, rights, bits = array("i"), array("i"), bytearray()
     add_left, add_right, add_bit = lefts.append, rights.append, bits.append
+    lines.pattern = _C_RUN
     # Fields are converted inline, not through _int: files run to 10^6+ lines.
     for line in lines:
         parts = line.split()
         if len(parts) != 4 or parts[0] != "c":
+            if line[-1] == "\n":  # a run of c lines, four fields each
+                run = _column(parts[1::4]), _column(parts[2::4])
+                if None in run:
+                    lines.again = line
+                    continue
+                lefts += run[0]
+                rights += run[1]
+                bits += "".join(parts[3::4]).encode().translate(_BIT_OF_BYTE)
+                continue
             if parts[0] in sections:
                 return (lefts, rights, bits), line
             raise ValidationError(f"unrecognized coloring line {line!r}")
@@ -232,20 +355,20 @@ def _read_coloring(lines, sections=()):
 
 
 def coloring_from_text(source, graph):
-    columns, _ = _read_coloring(_content_lines(source))
-    return pack_coloring(graph, zip(*columns))  # validates totality
+    columns, _ = _read_coloring(_Lines(source))
+    return pack_coloring(graph, *columns)  # validates totality
 
 
 def infer_complete_host(source):
     """Reconstruct K_{n,k} from a total coloring file of a complete host."""
-    (lefts, rights, _), _ = _read_coloring(_content_lines(source))
+    (lefts, rights, _), _ = _read_coloring(_Lines(source))
     return _complete_host(lefts, rights)
 
 
 def complete_coloring_from_text(source):
     """The coloring of K_{n,k} in a total coloring file, parsed in one pass."""
-    columns, _ = _read_coloring(_content_lines(source))
-    return pack_coloring(_complete_host(*columns[:2]), zip(*columns))
+    columns, _ = _read_coloring(_Lines(source))
+    return pack_coloring(_complete_host(*columns[:2]), *columns)
 
 
 def _complete_host(lefts, rights):
@@ -265,14 +388,14 @@ def _complete_host(lefts, rights):
 
 def infer_set_host(source, k):
     """Reconstruct B_{n,k} from a total coloring file of a set-membership host."""
-    (lefts, _, _), _ = _read_coloring(_content_lines(source))
+    (lefts, _, _), _ = _read_coloring(_Lines(source))
     return _set_host(lefts, k)
 
 
 def set_coloring_from_text(source, k):
     """The coloring of B_{n,k} in a total coloring file, parsed in one pass."""
-    columns, _ = _read_coloring(_content_lines(source))
-    return pack_coloring(_set_host(columns[0], k), zip(*columns))
+    columns, _ = _read_coloring(_Lines(source))
+    return pack_coloring(_set_host(columns[0], k), *columns)
 
 
 def _set_host(lefts, k):
@@ -304,7 +427,7 @@ def subset_coloring_to_text(sc):
 
 
 def subset_coloring_from_text(source):
-    lines = _content_lines(source)
+    lines = _Lines(source)
     header = next(lines, "")
     if not header.startswith("subsetcoloring"):
         raise ValidationError("subset-coloring text must start with a 'subsetcoloring' header")
@@ -314,15 +437,44 @@ def subset_coloring_from_text(source):
     n, arity, palette = (_int(x, "subset-coloring header field") for x in fields[1:])
     if max(n, arity) > _MAX_INDEX:  # C(n, arity) alone could take hours
         raise ValidationError(f"bad subset-coloring header {header!r}: past {_MAX_INDEX}")
-    return SubsetColoring(n, arity, palette, _rank_table(n, arity, _subset_values(lines)))
+    return SubsetColoring(n, arity, palette, _subset_table(lines, n, arity))
 
 
-def _subset_values(lines):
+_SC_RUN = re.compile(r"(?:sc [0-9]+(?:,[0-9]+)* [0-9]+\n){2,}")
+
+
+def _subset_table(lines, n, arity):
+    """Values by subset rank: the values read, while the sc lines name the
+    arity-subsets of [n] in lexicographic order; from the first line that
+    does not, or at a count that is not C(n, arity), _rank_table's."""
+    if min(n, arity) < 0 or n > 1 << 16:  # combinations holds [n] as a tuple
+        return _rank_table(n, arity, map(_subset_value, lines))
+    expected, values = combinations(range(1, n + 1), arity), []
+    lines.pattern = _SC_RUN
     for line in lines:
         parts = line.split()
-        if len(parts) not in (2, 3) or parts[0] != "sc":  # the empty subset has no field
-            raise ValidationError(f"unrecognized subset-coloring line {line!r}")
-        yield _parse_subset(parts[1]) if len(parts) == 3 else (), _int(parts[-1], "subset value")
+        if line[-1] == "\n":  # a run, its subsets compared as text
+            if list(_subset_names(islice(expected, len(parts) // 3), n)) == parts[1::3]:
+                values += map(int, parts[2::3])
+                continue
+        elif (pair := _subset_value(line))[0] == next(expected, None):
+            values.append(pair[1])
+            continue
+        break
+    else:
+        if is_subset_count(len(values), n, arity):
+            return values
+        line = ""
+    lines.pattern = None
+    read = zip(islice(combinations(range(1, n + 1), arity), len(values)), values)
+    return _rank_table(n, arity, chain(read, map(_subset_value, chain(line.splitlines(), lines))))
+
+
+def _subset_value(line):
+    parts = line.split()
+    if len(parts) not in (2, 3) or parts[0] != "sc":  # the empty subset has no field
+        raise ValidationError(f"unrecognized subset-coloring line {line!r}")
+    return _parse_subset(parts[1]) if len(parts) == 3 else (), _int(parts[-1], "subset value")
 
 
 # -- homogeneous sets ----------------------------------------------------
@@ -337,7 +489,7 @@ def homogeneous_from_text(source):
     """(sorted members, palette value or None) from homogeneous-set text."""
     members = set()
     value = None
-    for line in _content_lines(source):
+    for line in _Lines(source):
         tokens = line.replace(",", " ").split()
         if not tokens:
             raise ValidationError(f"bad homogeneous-set line {line!r}")
@@ -356,12 +508,18 @@ def homogeneous_from_text(source):
 
 
 def certificate_chunks(host, witness, coloring=None):
-    """certificate_to_text a chunk at a time."""
+    """certificate_to_text a chunk at a time.  The host's edges are walked
+    once, and each left's right indices formatted once, for its e lines and
+    its c lines; ValidationError for a coloring of another graph."""
+    _resolve(host, coloring)
+    rows, bits = host.edge_rows(None if coloring is None else coloring.masks)
+    for left, row in enumerate(rows):  # each row's array goes as its text comes
+        rows[left] = _index_lines(row)
     yield "host\n"
-    yield from graph_chunks(host)
+    yield from graph_chunks(host, rows)
     if coloring is not None:
         yield "coloring\n"
-        yield from coloring_chunks(coloring)
+        yield from coloring_chunks(coloring, rows, bits)
     yield "pattern\n"
     yield from graph_chunks(witness.pattern)
     claimed = witness.claimed_color.letter if witness.claimed_color is not None else "-"
@@ -379,7 +537,7 @@ def certificate_to_text(host, witness, coloring=None):
 def certificate_from_text(source):
     """Parse a certificate in one pass; returns (host, coloring_or_None, witness).
     Each section's lines go straight to its parser; none is kept as text."""
-    lines = _content_lines(source)
+    lines = _Lines(source)
     sections = {}
     claimed = None
     line = next(lines, None)
@@ -404,7 +562,7 @@ def certificate_from_text(source):
             raise ValidationError(f"certificate is missing the {required!r} section")
 
     host, pattern, (lefts, rights) = sections["host"], sections["pattern"], sections["witness"]
-    coloring = pack_coloring(host, zip(*sections["coloring"])) if "coloring" in sections else None
+    coloring = pack_coloring(host, *sections["coloring"]) if "coloring" in sections else None
     if sorted(lefts) != list(range(1, pattern.left_count + 1)):
         raise ValidationError("wleft lines must cover pattern lefts 1..c exactly")
     if sorted(rights) != list(range(1, len(pattern.right_labels) + 1)):
@@ -426,6 +584,7 @@ def _read_witness(lines):
     """(({pattern left: host left}, {pattern right: host label}), the line
     that ended them or None) from wleft and wright lines."""
     lefts, rights = {}, {}
+    lines.pattern = None
     for line in lines:
         parts = line.split()
         if parts[0] in _SECTIONS:

@@ -313,6 +313,8 @@ def _first_counterexample(arity, palette, s, n, meter):
     Odometer order: values listed by subset rank, the last position
     (lexicographically largest subset) ticking fastest, all-1s first.
     """
+    if palette == 1:  # its one coloring makes [1..s] homogeneous, vacuously if s < arity
+        return None
     bits = palette.bit_length()
     subsets = capped_comb(n, arity, 1 << 16)
     # Unless palette^C(n,arity) has under 2^16 bits, it is computed only

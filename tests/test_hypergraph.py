@@ -502,6 +502,19 @@ def test_a_refusal_decided_by_the_bound_computes_its_estimate_on_access():
     assert info.value.limit == 100_000_000 and info.value.used == 0
 
 
+def test_one_color_is_decided_before_any_count(monkeypatch):
+    # The one coloring makes [1..s] homogeneous, vacuously when s < arity;
+    # C(8000, 2) values would take about 1 GB.
+    def no_count(*args):
+        raise AssertionError(f"counted {args}")
+
+    monkeypatch.setattr(hypergraph, "comb", no_count)
+    monkeypatch.setattr(hypergraph, "capped_comb", no_count)
+    assert lower_bound_coloring(2, 1, 3, 8000) is None
+    assert lower_bound_coloring(2**31 - 1, 1, 5, 2**31 - 1) is None
+    assert ramsey_number_exact(2, 1, 8000, 8000, budget=1) == 8000
+
+
 def test_a_short_subset_coloring_is_refused_before_comb():
     # C(n, k) >= n for 0 < k < n: fewer than n values is not total, and
     # comb(2**31 - 1, 400000) alone takes seconds.

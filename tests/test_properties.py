@@ -579,8 +579,7 @@ def subset_coloring_runs(draw):
 
 @st.composite
 def ramsey_runs(draw):
-    # Palette 1 is left out: its one coloring holds C(n, arity) values (FOUND 45).
-    options = [str(draw(NUMBERS)), str(draw(st.integers(2, MAX_INDEX)))]
+    options = [str(draw(NUMBERS)), str(draw(st.integers(1, MAX_INDEX)))]
     options += [str(draw(NUMBERS)), str(draw(NUMBERS))]
     names = ["--arity", "--palette", "--size", "--max-n"]
     return ["ramsey-number", *(word for pair in zip(names, options) for word in pair)], {}

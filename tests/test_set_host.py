@@ -9,6 +9,7 @@ operation on the explicit graph make_graph builds from the same data.
 
 import hashlib
 import random
+from array import array
 from collections import Counter, defaultdict
 from functools import partial
 from itertools import combinations
@@ -45,6 +46,7 @@ from bipartite_ramsey.formats import (
     graph_from_text,
     graph_to_text,
 )
+from bipartite_ramsey import graphs as graphs_module
 from bipartite_ramsey.graphs import _bit, pack_coloring
 from bipartite_ramsey.subsets import SubsetSequence, subset_unrank
 from conftest import position_rule_coloring
@@ -553,6 +555,17 @@ def bad_triples(graph, triples, rng):
     }
 
 
+def columns(triples):
+    """pack_coloring's columns for triples: array('i'), array('i') and a
+    bytearray, as the text readers give them, where the values fit; lists
+    otherwise."""
+    lefts, rights, colors = map(list, zip(*triples)) if triples else ([], [], [])
+    try:
+        return array("i", lefts), array("i", rights), bytearray(colors)
+    except (TypeError, ValueError, OverflowError):
+        return lefts, rights, colors
+
+
 def test_pack_coloring_matches_the_reference_packer():
     rng = random.Random(19)
     for graph in from_map_graphs():
@@ -561,14 +574,40 @@ def test_pack_coloring_matches_the_reference_packer():
         for order in key_orders(graph, rng):  # right-major, left-major, shuffled
             triples = [(x, index[label], colors[(x, label)]) for x, label in order]
             # EdgeColoring equality also tells bytes masks from tuple ones
-            assert pack_coloring(graph, iter(triples)) == reference_pack_coloring(graph, triples)
+            reference = reference_pack_coloring(graph, triples)
+            assert pack_coloring(graph, *columns(triples)) == reference
+            assert pack_coloring(graph, *map(list, columns(triples))) == reference  # bisects
         if not triples:
             continue
         for name, bad in bad_triples(graph, triples, rng).items():
-            for pack in (pack_coloring, reference_pack_coloring):
+            for pack in (lambda graph, bad: pack_coloring(graph, *columns(bad)),
+                         reference_pack_coloring):
                 with pytest.raises(ValidationError):
                     pack(graph, bad)
                     pytest.fail(f"{pack.__name__} accepted a coloring with {name}")
+
+
+def test_pack_coloring_takes_both_writer_orders_without_a_bisect(monkeypatch):
+    """Mask bit order and edge_rows order are packed from the columns at
+    once; only another order reaches the bisect loop."""
+    rng = random.Random(20)
+    calls = []
+    real_bisect = graphs_module.bisect_left
+    monkeypatch.setattr(graphs_module, "bisect_left", lambda *a: calls.append(1) or real_bisect(*a))
+    for graph in from_map_graphs():
+        index = {label: i for i, label in enumerate(graph.right_labels, 1)}
+        for kind, order in zip(("right-major", "left-major", "shuffled"), key_orders(graph, rng)):
+            triples = [(x, index[label], rng.choice((RED, BLUE))) for x, label in order]
+            reference = reference_pack_coloring(graph, triples)  # bisects in _bit
+            del calls[:]
+            assert pack_coloring(graph, *columns(triples)) == reference
+            assert kind == "shuffled" or not calls, (graph, kind)
+            if not triples:
+                continue
+            lefts, rights, bits = columns(triples)
+            for bad in (bits[:-1], bits[:-1] + b"\2"):  # one short, one not a color
+                with pytest.raises(ValidationError):
+                    pack_coloring(graph, lefts, rights, bad)
 
 
 # -- the certificate fast path vs the generic parse --------------------------
