@@ -38,20 +38,20 @@ Every reader takes the text as a str or as an open text file and reads
 it once, in blocks of 64 KiB characters split exactly as str.splitlines
 splits, so a file is never held whole.  c, e, rlabel and sc lines come
 a run at a time (see _Lines): two or more lines as the writers emit them
-(one space between fields, ASCII digits, "\n"), split once and converted
-a column at a time.  Any other line goes to the line parser, the only
-place that refuses a line, with the message it would give with no runs.
-An edge coloring is read into three columns (lefts, right indices, color
-bits), from which complete_coloring_from_text and set_coloring_from_text
-also infer the host; pack_coloring packs columns in mask bit order, or
-left by left as every writer lists edges, without a search per edge.
-Graph text that spells B_{n,k} as the writers do is recognized from its
-columns, and sc lines in lexicographic order are the value table as
-read.  A certificate is read section by section.  Every writer is a
-generator of chunks, one per left for edge lines (from
-BipartiteGraph.edge_rows, walked once for a certificate) and one per
-batch of lines otherwise; each *_to_text (and export_dot) is the join of
-its generator.
+(one space between fields, numbers of up to ten ASCII digits, "\n"),
+split once and converted a column at a time.  Any other line goes to the
+line parser, the only place that refuses a line, with the message it
+would give with no runs.  An edge coloring is read into three columns
+(lefts, right indices, color bits), from which complete_coloring_from_text
+and set_coloring_from_text also infer the host; pack_coloring packs
+columns in mask bit order, or left by left as every writer lists edges,
+without a search per edge.  Graph text that spells B_{n,k} as the
+writers do is recognized from its columns, and sc lines in lexicographic
+order are the value table as read.  A certificate is read section by
+section.  Every writer is a generator of chunks, one per left for edge
+lines (from BipartiteGraph.edge_rows, walked once for a certificate) and
+one per batch of lines otherwise; each *_to_text (and export_dot) is the
+join of its generator.
 """
 
 import re
@@ -193,7 +193,11 @@ def graph_from_text(source):
     return _read_graph(_Lines(source))[0]
 
 
-_GRAPH_RUN = re.compile(r"(?:e [0-9]+ [0-9]+\n){2,}|(?:rlabel [0-9]+ [0-9]+(?:,[0-9]+)*\n){2,}")
+# Run patterns take numbers of ten digits at most: a longer one is out of
+# range in a column, or past int()'s limit, so its line parser has a say.
+_GRAPH_RUN = re.compile(
+    r"(?:e [0-9]{1,10} [0-9]{1,10}\n){2,}|(?:rlabel [0-9]{1,10} [0-9]{1,10}(?:,[0-9]{1,10})*\n){2,}"
+)
 
 
 def _read_graph(lines, sections=()):
@@ -317,7 +321,7 @@ def coloring_to_text(coloring):
 
 _BIT_OF_LETTER = {"R": 0, "B": 1}
 _BIT_OF_BYTE = bytes.maketrans(b"RB", b"\0\1")
-_C_RUN = re.compile(r"(?:c [0-9]+ [0-9]+ [RB]\n){2,}")
+_C_RUN = re.compile(r"(?:c [0-9]{1,10} [0-9]{1,10} [RB]\n){2,}")
 
 
 def _read_coloring(lines, sections=()):
@@ -440,7 +444,7 @@ def subset_coloring_from_text(source):
     return SubsetColoring(n, arity, palette, _subset_table(lines, n, arity))
 
 
-_SC_RUN = re.compile(r"(?:sc [0-9]+(?:,[0-9]+)* [0-9]+\n){2,}")
+_SC_RUN = re.compile(r"(?:sc [0-9]{1,10}(?:,[0-9]{1,10})* [0-9]{1,10}\n){2,}")
 
 
 def _subset_table(lines, n, arity):
@@ -450,13 +454,16 @@ def _subset_table(lines, n, arity):
     if min(n, arity) < 0 or n > 1 << 16:  # combinations holds [n] as a tuple
         return _rank_table(n, arity, map(_subset_value, lines))
     expected, values = combinations(range(1, n + 1), arity), []
+    spelled = _subset_names(expected, n)  # the same subsets as text
     lines.pattern = _SC_RUN
     for line in lines:
         parts = line.split()
-        if line[-1] == "\n":  # a run, its subsets compared as text
-            if list(_subset_names(islice(expected, len(parts) // 3), n)) == parts[1::3]:
-                values += map(int, parts[2::3])
-                continue
+        if line[-1] == "\n":  # a run: only subsets of the fields' sizes are spelled
+            names = parts[1::3]
+            if {*map(str.count, names, repeat(","))} == {arity - 1}:
+                if list(islice(spelled, len(names))) == names:
+                    values += map(int, parts[2::3])
+                    continue
         elif (pair := _subset_value(line))[0] == next(expected, None):
             values.append(pair[1])
             continue

@@ -11,6 +11,7 @@ characters so that runs and lines straddle block boundaries.
 """
 
 import random
+import tracemalloc
 from array import array
 from bisect import bisect_left
 from contextlib import contextmanager
@@ -482,6 +483,11 @@ COLORING_52 = "".join(f"c {x} {i} R\n" for i, X in enumerate(set_bipartite(5, 2)
     ("graph", formats.graph_to_text(set_bipartite(4, 2)).replace("rlabel 6 ", "rlabel 5 "), None),
     ("graph", formats.graph_to_text(set_bipartite(4, 2)).replace("\ne 1 1", "\ne 2147483648 1"), None),
     ("graph", "bipartite 2 2\nrlabel 1 1,x\nbogus\n", None),  # the first bad line speaks
+    # a number past int()'s 4,300 digits, in what would be a run
+    ("coloring", f"c 1 1 R\nc {'1' * 5000} 2 R\nc 1 2 R\n", complete_bipartite(2, 2)),
+    ("graph", f"bipartite 2 2\ne 1 1\ne 1 {'2' * 5000}\n", None),
+    ("graph", f"bipartite 2 2\nrlabel 1 1\nrlabel 2 {'2' * 5000}\nbogus\n", None),
+    ("subset coloring", f"subsetcoloring 2 1 2\nsc 1 1\nsc 2 {'1' * 5000}\n", None),
     # sc lines in lexicographic order, one short, one value outside the palette
     ("subset coloring", "subsetcoloring 4 2 2\nsc 1,2 1\nsc 1,3 3\nsc 1,4 1\nsc 2,3 1\nsc 2,4 1\n",
      None),
@@ -494,3 +500,15 @@ def test_run_readers_agree_on_chosen_files(what, text, host):
     for block in BLOCKS:
         with block_size(block):
             assert outcome(new, text, host) == expected, block
+
+
+def test_a_run_under_a_wide_header_is_refused_without_its_subsets():
+    # One element a line: no 60000-subset of [65536] is spelled for them.
+    text = "subsetcoloring 65536 60000 2\n" + "".join(f"sc {i} 1\n" for i in range(1, 3000))
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValidationError, match="subsets, got 2999$"):
+            formats.subset_coloring_from_text(text)
+        assert tracemalloc.get_traced_memory()[1] < 16 << 20
+    finally:
+        tracemalloc.stop()
