@@ -161,8 +161,9 @@ def cmd_ramsey_number(args):
 
 def cmd_params(args):
     report = required_parameters(_read(formats.graph_from_text, args.pattern))
-    for name in ("c", "d", "a", "b", "k", "s", "palette"):
+    for name in ("c", "d", "a", "b", "k", "s"):
         print(f"{name} {getattr(report, name)}")
+    print(f"palette {report.palette_text}")
     print(f"n {report.n_formula}")
     return EXIT_FOUND
 

@@ -22,11 +22,12 @@ is the one place a, b and the pipeline's other constants are computed.
 """
 
 from dataclasses import dataclass
+from functools import cached_property
 
 from .errors import ParameterError
 from .graphs import BipartiteGraph, InducedCopyWitness, verify_witness
 from .hypergraph import derived_palette_size
-from .subsets import SubsetSequence
+from .subsets import SubsetSequence, capped_comb
 
 
 def complete_bipartite(n, k):
@@ -54,7 +55,9 @@ def set_bipartite(n, k):
 @dataclass(frozen=True)
 class ParameterReport:
     """Every constant the pipeline would use for a pattern, plus the
-    guarantee threshold as a formula; its value is out of reach."""
+    guarantee threshold as a formula; its value is out of reach.  palette
+    is computed when first read; palette_text spells it, past 10,000 bits
+    by its formula 2*C(k,b)."""
 
     c: int
     d: int
@@ -62,9 +65,13 @@ class ParameterReport:
     b: int
     k: int
     s: int
-    palette: int
+    palette_text: str
     n_formula: str
     n_value: None = None
+
+    @cached_property
+    def palette(self):
+        return derived_palette_size(self.b)
 
 
 def required_parameters(pattern):
@@ -79,9 +86,10 @@ def required_parameters(pattern):
     b = c + 1
     k = 2 * b - 1
     s = a * b + b - 1
-    palette = derived_palette_size(b)
+    half = capped_comb(k, b, 1 << 10_000)  # C(k, b) only as far as it can be printed
+    palette = f"{2 * half}" if half < 1 << 10_000 else f"2*C({k},{b})"
     return ParameterReport(
-        c=c, d=d, a=a, b=b, k=k, s=s, palette=palette,
+        c=c, d=d, a=a, b=b, k=k, s=s, palette_text=palette,
         n_formula=f"R_{{{k},{palette}}}({s})",
     )
 

@@ -36,28 +36,31 @@ Blank lines and lines starting with '#' are ignored everywhere.
 
 Every reader takes the text as a str or as an open text file and reads
 it once, in blocks of 64 KiB characters split exactly as str.splitlines
-splits, so a file is never held whole.  c, e, rlabel and sc lines come
-a run at a time (see _Lines): two or more lines as the writers emit them
+splits, so a file is never held whole.  c, e, rlabel and sc lines come a
+run at a time (see _Lines): two or more lines as the writers emit them
 (one space between fields, numbers of up to ten ASCII digits, "\n"),
-split once and converted a column at a time.  Any other line goes to the
-line parser, the only place that refuses a line, with the message it
-would give with no runs.  An edge coloring is read into three columns
-(lefts, right indices, color bits), from which complete_coloring_from_text
-and set_coloring_from_text also infer the host; pack_coloring packs
-columns in mask bit order, or left by left as every writer lists edges,
-without a search per edge.  Graph text that spells B_{n,k} as the
-writers do is recognized from its columns, and sc lines in lexicographic
-order are the value table as read.  A certificate is read section by
-section.  Every writer is a generator of chunks, one per left for edge
-lines (from BipartiteGraph.edge_rows, walked once for a certificate) and
-one per batch of lines otherwise; each *_to_text (and export_dot) is the
-join of its generator.
+split once and converted a column at a time (a left column one int() per
+distinct field).  Any other line goes to the line parser, the only place
+that refuses a line, with the message it would give with no runs.  An
+edge coloring is read into three columns (lefts, right indices, color
+bits), from which complete_coloring_from_text and set_coloring_from_text
+also infer the host; pack_coloring packs columns in mask bit order, or
+left by left as every writer lists edges, without a search per edge.
+B_{n,k}'s subsets have one spelling, _subset_names: it writes rlabel and
+sc lines, recognizes graph text that spells B_{n,k} as the writers do,
+and sc lines in lexicographic order, which are then the value table as
+read.  A certificate is read section by section.  Every writer is a
+generator of chunks, one per left for edge lines (from
+BipartiteGraph.edge_rows, walked once for a certificate) and one per
+batch of lines otherwise; each *_to_text (and export_dot) is the join of
+its generator.
 """
 
 import re
 from array import array
 from functools import partial
 from itertools import chain, combinations, islice, repeat
+from math import comb
 from operator import eq
 
 from .constructions import complete_bipartite, set_bipartite
@@ -69,6 +72,7 @@ from .subsets import SubsetSequence, is_subset_count
 
 _BLOCK = 1 << 16  # characters read at a time
 _BATCH = 4096  # lines per chunk where there is no left to chunk by
+_TAILS = 1 << 13  # most subset names _subset_names holds
 _MAX_INDEX = (1 << 31) - 1  # vertex indices are 4-byte, as in array("i") columns and rows
 _SECTIONS = ("host", "coloring", "pattern", "witness")
 
@@ -150,6 +154,13 @@ def _column(tokens, high=_MAX_INDEX):
     return array("i", values) if 1 <= min(values) and max(values) <= high else None
 
 
+def _left_column(tokens):
+    """_column for a run's lefts, few of them distinct: one int() each."""
+    ints = dict.fromkeys(tokens)
+    ints.update(zip(ints, map(int, ints)))
+    return _column(ints.values()) and array("i", list(map(ints.__getitem__, tokens)))
+
+
 def _parse_subset(token):
     try:
         return tuple(map(int, token.split(",")))
@@ -170,11 +181,13 @@ def graph_chunks(graph, rows=None):
     """graph_to_text a chunk at a time: header, rlabel lines, each left's e
     lines.  rows, if given, is each left's right indices as _index_lines
     formats them (certificate_chunks shares them with the c lines)."""
-    yield f"bipartite {graph.left_count} {len(graph.right_labels)}\n"
-    for batch in _batches(enumerate(graph.right_labels, 1)):
-        yield "".join([
-            f"rlabel {i} {_format_label(label)}\n" for i, label in batch if isinstance(label, tuple)
-        ])
+    labels = graph.right_labels
+    yield f"bipartite {graph.left_count} {len(labels)}\n"
+    names = ((i, _format_label(x)) for i, x in enumerate(labels, 1) if isinstance(x, tuple))
+    if type(labels) is SubsetSequence:
+        names = enumerate(_subset_names(labels.n, labels.k), 1)
+    for batch in _batches(names):
+        yield "".join([f"rlabel {i} {name}\n" for i, name in batch])
     for left, text in enumerate(map(_index_lines, graph.edge_rows()[0]) if rows is None else rows):
         if text:
             yield f"e {left} " + text.replace("\n", f"\ne {left} ") + "\n"
@@ -238,7 +251,7 @@ def _read_graph(lines, sections=()):
                 _parse_subset(subsets[-1])  # refused here, in line order
         elif line[-1] == "\n":  # a run of e lines or of rlabel lines, three fields each
             if parts[0] == "e":
-                run = _column(parts[1::3]), _column(parts[2::3], right_count)
+                run = _left_column(parts[1::3]), _column(parts[2::3], right_count)
             else:
                 run = _column(parts[1::3], right_count), parts[2::3]
             if None in run:
@@ -283,14 +296,27 @@ def _spelled_set_arity(n, right_count, labeled, subsets, lefts, rights):
     if 1 <= k <= n and len(lefts) == k * right_count and is_subset_count(right_count, n, k):
         host = set_bipartite(n, k)
         if labeled == array("i", range(1, right_count + 1)) and len(subsets) == right_count:
-            if all(map(eq, subsets, _subset_names(host.neighborhoods, n))):
+            if all(map(eq, subsets, _subset_names(n, k))):
                 return k if _in_mask_order(host, lefts, rights) else 0
     return 0
 
 
-def _subset_names(subsets, n):
-    """Each subset of [n] as rlabel and sc lines spell it."""
-    return map(",".join, map(map, repeat(list(map(str, range(n + 1))).__getitem__), subsets))
+def _subset_names(n, k):
+    """The k-subsets of [n] (k >= 0) in lexicographic order, spelled as
+    rlabel and sc lines spell them, a prefix at a time: each is the name
+    of its first k - m elements, a comma, and the name of its last m,
+    taken from a list of the C(n, m) <= _TAILS names of m-subsets."""
+    if k < 2:
+        yield from map(str, range(1, n + 1)) if k else [""]
+        return
+    m = 1
+    while 2 * m + 2 <= min(k, n) and comb(n, m + 1) <= _TAILS:
+        m += 1
+    tails = [",".join(map(str, X)) for X in combinations(range(1, n + 1), m)]
+    starts = [len(tails) - comb(n - x, m) for x in range(n + 1)]  # tails[starts[x]:] start past x
+    for prefix in combinations(range(1, n + 1), k - m):
+        head = ",".join(map(str, prefix)) + ","
+        yield from map(head.__add__, tails[starts[prefix[-1]] :])
 
 
 # -- edge colorings ----------------------------------------------------
@@ -336,7 +362,7 @@ def _read_coloring(lines, sections=()):
         parts = line.split()
         if len(parts) != 4 or parts[0] != "c":
             if line[-1] == "\n":  # a run of c lines, four fields each
-                run = _column(parts[1::4]), _column(parts[2::4])
+                run = _left_column(parts[1::4]), _column(parts[2::4])
                 if None in run:
                     lines.again = line
                     continue
@@ -422,8 +448,8 @@ def _set_host(lefts, k):
 def subset_coloring_chunks(sc):
     """subset_coloring_to_text a chunk at a time: header, then batches of sc lines."""
     yield f"subsetcoloring {sc.n} {sc.arity} {sc.palette_size}\n"
-    for batch in _batches(sc.items()):
-        yield "".join([f"sc {','.join(map(str, subset))} {value}\n" for subset, value in batch])
+    for batch in _batches(zip(_subset_names(sc.n, sc.arity), sc.values)):
+        yield "".join([f"sc {name} {value}\n" for name, value in batch])
 
 
 def subset_coloring_to_text(sc):
@@ -453,8 +479,7 @@ def _subset_table(lines, n, arity):
     does not, or at a count that is not C(n, arity), _rank_table's."""
     if min(n, arity) < 0 or n > 1 << 16:  # combinations holds [n] as a tuple
         return _rank_table(n, arity, map(_subset_value, lines))
-    expected, values = combinations(range(1, n + 1), arity), []
-    spelled = _subset_names(expected, n)  # the same subsets as text
+    spelled, values = _subset_names(n, arity), []  # the subsets in order, as text
     lines.pattern = _SC_RUN
     for line in lines:
         parts = line.split()
@@ -464,7 +489,7 @@ def _subset_table(lines, n, arity):
                 if list(islice(spelled, len(names))) == names:
                     values += map(int, parts[2::3])
                     continue
-        elif (pair := _subset_value(line))[0] == next(expected, None):
+        elif _format_label((pair := _subset_value(line))[0]) == next(spelled, None):
             values.append(pair[1])
             continue
         break

@@ -16,10 +16,12 @@ BLUE = 1) of its edge to its p-th smallest neighbour, counting p from 0;
 a set-membership right X = {z_0 < z_1 < ...} is its own neighbourhood,
 so bit p colors the edge (z_p, X).  pack_coloring, coloring_from_map and
 random_coloring each write one ASCII 0/1 per edge in that order, and
-_packed turns each right's digits into its mask.  The masks are a
-_dense_table, as SubsetColoring's values are: bytes when every right has
-at most 8 neighbours (every B_{n,k} with k <= 8), else a tuple of ints.
-Nothing outside the two constructors looks at which one it holds.
+_packed turns the digits into masks: a bit plane at a time when every
+right has the same degree d <= 8 (B_{n,k} with k <= 8, K_{n,k} with
+n <= 8), else a right at a time.  The masks are a _dense_table, as
+SubsetColoring's values are: bytes when every right has at most 8
+neighbours (every B_{n,k} with k <= 8), else a tuple of ints.  Nothing
+outside the two constructors looks at which one it holds.
 
 Everything here is an immutable value; operations are pure functions and
 safe to call concurrently.
@@ -66,6 +68,7 @@ class Color(IntEnum):
 RED = Color.RED
 BLUE = Color.BLUE
 _DIGIT = b"01" + bytes(254)  # bytes.translate table: color bit -> ASCII digit
+_PLANE = [bytes.maketrans(b"01", bytes((0, 1 << p))) for p in range(8)]  # digit -> bit p
 
 
 def _normalize_label(label):
@@ -332,7 +335,14 @@ class EdgeColoring:
 
 def _packed(graph, text):
     """EdgeColoring from one ASCII 0/1 per edge in mask bit order (right by
-    right, neighbours increasing): a right's digits, reversed, are its mask."""
+    right, neighbours increasing): a right's digits, reversed, are its mask.
+    With every right of degree d <= 8, text[p::d] is bit p of every mask."""
+    d, rights = graph._max_degree, graph.right_count
+    if d <= 8 and len(text) == graph.edge_count == d * rights:
+        if text.translate(None, b"01"):
+            raise ValidationError("edge colors must be the digits 0 and 1")
+        planes = (int.from_bytes(text[p::d].translate(_PLANE[p]), "big") for p in range(d))
+        return EdgeColoring(graph, sum(planes).to_bytes(rights, "big"))
     ends = pairwise(accumulate(map(len, graph.neighborhoods), initial=0))
     return EdgeColoring(graph, (int(text[o:e][::-1] or b"0", 2) for o, e in ends))
 
@@ -346,7 +356,8 @@ def _in_mask_order(graph, lefts, rights):
     bit order meets them: the walk random_coloring makes."""
     edges = graph.edge_count
     flat = partial(chain.from_iterable, graph.neighborhoods)  # edges' lefts, in mask bit order
-    owners = partial(chain.from_iterable, map(repeat, count(1), map(len, graph.neighborhoods)))
+    def owners():  # edges' 1-based right indices, in mask bit order; a new iterator each call
+        return chain.from_iterable(map(repeat, count(1), map(len, graph.neighborhoods)))
     if len(lefts) != edges or len(rights) != edges:
         return None
     if all(map(eq, lefts, flat())):

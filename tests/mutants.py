@@ -1,0 +1,122 @@
+"""Mutation check: each mutant breaks one rule, and the tests must notice.
+
+    python3 tests/mutants.py [--only NAME]
+
+For each mutant, src/ is copied with tests/, demos/ and pyproject.toml to
+a temporary directory, the mutant's old text in its file is replaced by
+its new text, and `pytest -x -q` runs on the copy.  A failing run kills
+the mutant; a passing one lets it survive.  One line per mutant says
+which, with the seconds taken; the exit status is 1 if any survived.
+An old text that does not occur exactly once in its file is an error
+before anything runs, so a refactor that moves the code must move its
+mutants too.  Hypothesis runs with a fixed seed, so a run repeats.
+
+Stdlib only (pytest is what it runs), and not collected by pytest: its
+name does not start with test_.  Each fast path with a reference in the
+tests adds its mutants here.
+"""
+
+import argparse
+import shutil
+import subprocess
+import sys
+import tempfile
+from collections import namedtuple
+from pathlib import Path
+from time import perf_counter
+
+ROOT = Path(__file__).resolve().parent.parent
+COPIED = ("src", "tests", "demos", "pyproject.toml")
+
+Mutant = namedtuple("Mutant", "name file old new rule")
+
+GRAPHS = "src/bipartite_ramsey/graphs.py"
+FORMATS = "src/bipartite_ramsey/formats.py"
+
+MUTANTS = [
+    Mutant("planes-little-endian", GRAPHS,
+           '''text[p::d].translate(_PLANE[p]), "big")''',
+           '''text[p::d].translate(_PLANE[p]), "little")''',
+           "the plane packer keeps the rights in order"),
+    Mutant("plane-shifted", GRAPHS,
+           '''int.from_bytes(text[p::d]''',
+           '''int.from_bytes(text[(p + 1) % d :: d]''',
+           "plane p holds each right's digit p"),
+    Mutant("planes-at-degree-9", GRAPHS,
+           '''if d <= 8 and len(text)''',
+           '''if d <= 9 and len(text)''',
+           "a mask of more than 8 bits is not a byte"),
+    Mutant("planes-for-irregular", GRAPHS,
+           '''len(text) == graph.edge_count == d * rights''',
+           '''len(text) == graph.edge_count''',
+           "bit planes exist only where every right has the same degree"),
+    Mutant("per-right-digits-unreversed", GRAPHS,
+           '''int(text[o:e][::-1] or b"0", 2)''',
+           '''int(text[o:e] or b"0", 2)''',
+           "a right's first digit is its mask's lowest bit"),
+    Mutant("prefix-without-comma", FORMATS,
+           '''head = ",".join(map(str, prefix)) + ","''',
+           '''head = ",".join(map(str, prefix))''',
+           "a subset's name separates every element by a comma"),
+    Mutant("last-elements-off-by-one", FORMATS,
+           '''starts = [len(tails) - comb(n - x, m) for x in range(n + 1)]''',
+           '''starts = [len(tails) - comb(n - x + 1, m) for x in range(n + 1)]''',
+           "a prefix is followed by exactly the tails whose elements are above it"),
+    Mutant("left-range-first-key-only", FORMATS,
+           '''return _column(ints.values()) and''',
+           '''return _column(list(ints.values())[:1]) and''',
+           "every left in a run is checked to be in 1..2^31 - 1"),
+]
+
+
+def check(mutants):
+    for m in mutants:
+        found = (ROOT / m.file).read_text(encoding="utf-8").count(m.old)
+        if found != 1:
+            sys.exit(f"mutant {m.name}: its old text occurs {found} times in {m.file}, not once")
+
+
+def run(mutant):
+    """True when the tests fail on the mutated copy."""
+    with tempfile.TemporaryDirectory(prefix="mutant-") as folder:
+        copy = Path(folder)
+        ignore = shutil.ignore_patterns("__pycache__", ".hypothesis", ".pytest_cache")
+        for name in COPIED:
+            source = ROOT / name
+            if source.is_dir():
+                shutil.copytree(source, copy / name, ignore=ignore)
+            else:
+                shutil.copy2(source, copy / name)
+        target = copy / mutant.file
+        target.write_text(target.read_text(encoding="utf-8").replace(mutant.old, mutant.new),
+                          encoding="utf-8")
+        proc = subprocess.run(
+            [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider",
+             "--hypothesis-seed=0"],
+            cwd=copy, capture_output=True, text=True,
+        )
+        if proc.returncode in (3, 4, 5):  # pytest's own failure, not the tests'
+            sys.exit(f"mutant {mutant.name}: pytest exited {proc.returncode}\n{proc.stdout[-2000:]}")
+        return proc.returncode != 0
+
+
+def main():
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--only", choices=[m.name for m in MUTANTS], help="run this mutant alone")
+    args = parser.parse_args()
+    mutants = [m for m in MUTANTS if args.only in (None, m.name)]
+    check(mutants)
+    survived = 0
+    start = perf_counter()
+    for mutant in mutants:
+        began = perf_counter()
+        killed = run(mutant)
+        survived += not killed
+        print(f"{'killed' if killed else 'SURVIVED':8} {perf_counter() - began:6.1f} s  "
+              f"{mutant.name}: {mutant.rule}", flush=True)
+    print(f"{len(mutants) - survived} of {len(mutants)} killed in {perf_counter() - start:.1f} s")
+    return 1 if survived else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

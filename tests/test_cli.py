@@ -6,6 +6,7 @@ import subprocess
 import sys
 import time
 from itertools import combinations
+from math import comb
 from pathlib import Path
 
 import pytest
@@ -201,6 +202,19 @@ def test_params_output(tmp_path, capsys):
     assert lines["a"] == "8" and lines["b"] == "4"
     assert lines["s"] == "35" and lines["palette"] == "70"
     assert lines["n"] == "R_{7,70}(35)"
+
+
+@pytest.mark.parametrize("lefts", [5000, 8000, 2**31 - 1])
+def test_params_spells_a_palette_past_10000_bits_by_formula(tmp_path, capsys, lefts):
+    # 2*C(2b-1, b) runs past the 4,300 digits str() prints at about b = 7,200,
+    # and takes too long to compute long before 2^31 lefts.
+    pattern = write(tmp_path / "p.txt", f"bipartite {lefts} 1\ne 1 1\n")
+    assert main(["params", pattern]) == 0
+    lines = dict(line.split(None, 1) for line in capsys.readouterr().out.splitlines())
+    k, b = 2 * lefts + 1, lefts + 1
+    palette = str(2 * comb(k, b)) if lefts == 5000 else f"2*C({k},{b})"
+    assert lines["palette"] == palette
+    assert lines["n"] == f"R_{{{k},{palette}}}({(2 * lefts + 1) * b + b - 1})"
 
 
 def test_dot_subcommand(tmp_path, capsys):

@@ -33,6 +33,7 @@ def test_required_parameters_small_pattern(small_pattern):
     assert report.s == 35
     assert report.palette == 2 * comb(7, 4) == 70
     assert report.n_formula == "R_{7,70}(35)"
+    assert report.palette_text == "70"
     assert report.n_value is None
 
 

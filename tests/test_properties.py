@@ -603,6 +603,19 @@ def coloring_runs(draw):
     }
 
 
+@st.composite
+def params_runs(draw):
+    """rw params on a pattern of up to MAX_INDEX lefts (the palette passes
+    str()'s 4,300 digits from about 7,200) and one to three rights and up
+    to three edges.  Many rights stay out: the graph reader still builds a
+    list per right from the header's count."""
+    lefts, rights = draw(NUMBERS | st.integers(6_000, 10_000)), draw(st.integers(1, 3))
+    edges = draw(st.lists(st.tuples(st.integers(1, max(1, lefts)), st.integers(1, rights)),
+                          max_size=3))
+    text = f"bipartite {lefts} {rights}\n" + "".join(f"e {x} {y}\n" for x, y in edges)
+    return ["params", "p.txt"], {"p.txt": text}
+
+
 def test_huge_numbers_end_in_an_exit_code_at_once(tmp_path_factory):
     """ROADMAP item 9: a few bytes of input cost a refusal no more than
     their own size.  Each run is a fresh rw process of at most 1 GiB, so
@@ -617,7 +630,7 @@ def test_huge_numbers_end_in_an_exit_code_at_once(tmp_path_factory):
         resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
 
     @hypothesis.settings(deadline=None, max_examples=hypothesis.settings.default.max_examples // 2)
-    @hypothesis.given(subset_coloring_runs() | ramsey_runs() | coloring_runs())
+    @hypothesis.given(subset_coloring_runs() | ramsey_runs() | coloring_runs() | params_runs())
     def check(run):
         argv, files = run
         for name, text in files.items():

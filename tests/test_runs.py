@@ -329,11 +329,15 @@ def outcome(read, text, host):
 
 
 def hosts(draw):
-    """A small B_{n,k}, K_{n,k} or other graph, with its name."""
+    """A small B_{n,k}, K_{n,k} or other graph, with its name.  B_{n,k}
+    also comes with k = 8, the widest the bit-plane packer takes, and 9."""
     kind = draw(st.sampled_from(["set", "complete", "other"]))
     n = draw(st.integers(1, 6))
     if kind == "set":
-        return kind, set_bipartite(n, draw(st.integers(1, n)))
+        if draw(st.integers(0, 3)):
+            return kind, set_bipartite(n, draw(st.integers(1, n)))
+        k = draw(st.integers(8, 9))
+        return kind, set_bipartite(draw(st.integers(k, 10)), k)
     if kind == "complete":
         return kind, complete_bipartite(n, draw(st.integers(1, 4)))
     labels = sorted(draw(st.sets(st.integers(1, 9), max_size=5)))
