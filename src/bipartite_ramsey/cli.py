@@ -24,6 +24,7 @@ from .hypergraph import (
 )
 from .pigeonhole import extract_monochromatic_complete
 from .pipeline import find_induced_mono_pattern
+from .subsets import capped_comb
 
 EXIT_FOUND = 0
 EXIT_ABSENT = 1
@@ -70,17 +71,26 @@ def _emit_certificate(args, host, witness, coloring=None):
         _save(dot, args.dot)
 
 
+def _check_host(name, lefts, rights):
+    """ParameterError, before anything is built, for a host with more lefts
+    or rights than a graph file may name (rights as capped_comb counts them)."""
+    if max(lefts, rights) > formats._MAX_INDEX:
+        raise ParameterError(f"{name} has more than {formats._MAX_INDEX} lefts or rights")
+
+
 def cmd_build(args):
-    if args.kind == "complete":
-        graph = complete_bipartite(args.n, args.k)
-    else:
-        graph = set_bipartite(args.n, args.k)
+    complete = args.kind == "complete"
+    rights = args.k if complete else capped_comb(args.n, args.k, formats._MAX_INDEX + 1)
+    _check_host(f"{'K' if complete else 'B'}_({args.n},{args.k})", args.n, rights)
+    graph = (complete_bipartite if complete else set_bipartite)(args.n, args.k)
     _emit(formats.graph_chunks(graph), args.output)
     return EXIT_FOUND
 
 
 def cmd_embed(args):
     pattern = _read(formats.graph_from_text, args.pattern)
+    p = required_parameters(pattern)
+    _check_host(f"B_({p.a},{p.b})", p.a, capped_comb(p.a, p.b, formats._MAX_INDEX + 1))
     result = embed_into_set_bipartite(pattern)
     host = set_bipartite(result.a, result.b)
     print(f"embedded into B_({result.a},{result.b})", file=sys.stderr)

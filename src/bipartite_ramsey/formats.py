@@ -47,25 +47,33 @@ bits), from which complete_coloring_from_text and set_coloring_from_text
 also infer the host; pack_coloring packs columns in mask bit order, or
 left by left as every writer lists edges, without a search per edge.
 B_{n,k}'s subsets have one spelling, _subset_names: it writes rlabel and
-sc lines, recognizes graph text that spells B_{n,k} as the writers do,
-and sc lines in lexicographic order, which are then the value table as
-read.  A certificate is read section by section.  Every writer is a
-generator of chunks, one per left for edge lines (from
-BipartiteGraph.edge_rows, walked once for a certificate) and one per
-batch of lines otherwise; each *_to_text (and export_dot) is the join of
-its generator.
+sc lines, and recognizes sc lines in lexicographic order, which are then
+the value table as read.  Every writer is a generator of chunks, one per
+left for edge lines (from BipartiteGraph.edge_rows, walked once for a
+certificate) and one per batch of lines otherwise; each *_to_text (and
+export_dot) is the join of its generator.
+
+A reader that knows its host compares the text with the chunks the
+writer would write for it (_Lines.take), and takes each chunk the text
+spells whole, unparsed: in a certificate's coloring section after its
+host section, in coloring_from_text, and in graph text whose header gives
+C(n, k) rights (B_{n,k} or B_{n,n-k}, as the first rlabel chunk says).
+A c chunk is compared with its letters read as R, and the letters are
+then read out as bits and _dealt to mask bit order.  From the first chunk
+that differs, the section goes to the run and line parsers, the chunks
+taken standing in for their lines.  A certificate is read section by
+section, its host's edge_rows text shared by its e and c chunks.
 """
 
 import re
 from array import array
 from functools import partial
-from itertools import chain, combinations, islice, repeat
+from itertools import chain, combinations, count, islice, repeat
 from math import comb
-from operator import eq
 
 from .constructions import complete_bipartite, set_bipartite
 from .errors import ParameterError, ValidationError
-from .graphs import BipartiteGraph, Color, InducedCopyWitness, _in_mask_order, _resolve
+from .graphs import _DIGIT, BipartiteGraph, Color, InducedCopyWitness, _dealt, _packed, _resolve
 from .graphs import pack_coloring, set_graph_arity
 from .hypergraph import SubsetColoring, _rank_table
 from .subsets import SubsetSequence, is_subset_count
@@ -73,6 +81,7 @@ from .subsets import SubsetSequence, is_subset_count
 _BLOCK = 1 << 16  # characters read at a time
 _BATCH = 4096  # lines per chunk where there is no left to chunk by
 _TAILS = 1 << 13  # most subset names _subset_names holds
+_SPELL = 1 << 18  # most subset elements in a first rlabel chunk built to be compared
 _MAX_INDEX = (1 << 31) - 1  # vertex indices are 4-byte, as in array("i") columns and rows
 _SECTIONS = ("host", "coloring", "pattern", "witness")
 
@@ -85,15 +94,17 @@ class _Lines:
     whole, a run with its line breaks (lines are stripped, so only a run
     ends in one).  Elsewhere the reader goes on line by line, one line and
     then twice as many characters before each next try.  A run the parser
-    sets as again comes next, line by line, for the line parser."""
+    sets as again comes next, line by line, for the line parser.  Between
+    two items a parser may take a chunk of text it expects (see take)."""
 
     def __init__(self, source):
         self.pattern = self.again = None
         if isinstance(source, str):
-            blocks = (source[i : i + _BLOCK] for i in range(0, len(source), _BLOCK))
+            self._blocks = (source[i : i + _BLOCK] for i in range(0, len(source), _BLOCK))
         else:
-            blocks = _blocks(source)
-        self._items = self._scan(blocks)
+            self._blocks = _blocks(source)
+        self._text, self._pos, self._size = "", 0, 1  # the text at hand is _text[_pos:]
+        self._items = self._scan()
 
     def __iter__(self):
         return self._items
@@ -101,29 +112,61 @@ class _Lines:
     def __next__(self):
         return next(self._items)
 
-    def _scan(self, blocks):
-        tail = ""
-        for block in blocks:
-            text, pos, size = tail + block, 0, 1
-            while True:
-                run = self.pattern and self.pattern.match(text, pos)
-                if run:
-                    yield run.group()
-                    yield from self.again.splitlines() if self.again else ()
-                    self.again, pos, size = None, run.end(), 1
-                    continue
-                end = text.find("\n", pos + size) + 1  # 0 when no line ends past pos + size
-                raws = text[pos : end or len(text)].splitlines(True)
-                tail = "" if end or not raws else raws.pop()  # it may go on in the next block
-                for line in map(str.strip, raws):
-                    if line and line[0] != "#":
-                        yield line
-                if not end:
-                    break
-                pos, size = end, 2 * size
-        line = tail.strip()
-        if line and line[0] != "#":
-            yield line
+    def take(self, chunk, masked=False):
+        """The text ahead, consumed, when it spells chunk (with each "B" read
+        as "R" if masked) from the line after the last item; else None, and
+        nothing is consumed.  Blocks are read only while they spell it."""
+        text, pos = self._text, self._pos
+        if pos is None:  # lines split off with the last item are still to come
+            return None
+        blocks, seen, piece = [], 0, text[pos : pos + len(chunk)]
+        while chunk.startswith(piece.replace("B", "R") if masked else piece, seen):
+            seen += len(piece)
+            if seen == len(chunk):
+                if blocks:
+                    text, pos = "".join([text[pos:], *blocks]), 0
+                self._text, self._pos, self._size = text, pos + len(chunk), 1
+                return text[pos : pos + len(chunk)]
+            blocks.append(next(self._blocks, ""))
+            piece = blocks[-1][: len(chunk) - seen]
+            if not piece:  # the text ends inside the chunk
+                break
+        if blocks:
+            self._text, self._pos = "".join([text[pos:], *blocks]), 0
+        return None
+
+    def _scan(self):
+        while True:
+            text, pos = self._text, self._pos
+            run = self.pattern and self.pattern.match(text, pos)
+            if run:
+                self._pos, self._size = run.end(), 1
+                yield run.group()
+                if self.again:
+                    yield from self._hand_out(self.again.splitlines(), self._text, self._pos)
+                    self.again = None
+                continue
+            end = text.find("\n", pos + self._size) + 1  # 0 when no line ends past pos + size
+            if end:
+                self._size *= 2
+                yield from self._hand_out(text[pos:end].splitlines(), text, end)
+                continue
+            raws = text[pos:].splitlines(True)
+            tail = raws.pop() if raws else ""  # it may go on in the next block
+            yield from self._hand_out(raws, tail, 0)
+            block = next(self._blocks, "")
+            if not block:
+                yield from self._hand_out(self._text[self._pos :].splitlines(), "", 0)
+                return
+            self._text, self._pos, self._size = self._text[self._pos :] + block, 0, 1
+
+    def _hand_out(self, raws, text, pos):
+        """The content lines of raws; the text at hand is text[pos:] from the last one."""
+        lines = [line for line in map(str.strip, raws) if line and line[0] != "#"]
+        self._pos = None
+        yield from lines[:-1]
+        self._text, self._pos = text, pos
+        yield from lines[-1:]
 
 
 def _blocks(file):
@@ -183,9 +226,10 @@ def graph_chunks(graph, rows=None):
     formats them (certificate_chunks shares them with the c lines)."""
     labels = graph.right_labels
     yield f"bipartite {graph.left_count} {len(labels)}\n"
-    names = ((i, _format_label(x)) for i, x in enumerate(labels, 1) if isinstance(x, tuple))
-    if type(labels) is SubsetSequence:
+    if type(labels) is SubsetSequence:  # not iterated: its iterator holds [n]
         names = enumerate(_subset_names(labels.n, labels.k), 1)
+    else:
+        names = ((i, _format_label(x)) for i, x in enumerate(labels, 1) if isinstance(x, tuple))
     for batch in _batches(names):
         yield "".join([f"rlabel {i} {name}\n" for i, name in batch])
     for left, text in enumerate(map(_index_lines, graph.edge_rows()[0]) if rows is None else rows):
@@ -198,12 +242,49 @@ def _index_lines(row):
     return "\n".join(map(str, row))
 
 
+def _edge_texts(graph, masks=None):
+    """graph.edge_rows(masks) with each row replaced by its _index_lines
+    text as it is reached: the rows a certificate's e and c lines share."""
+    rows, bits = graph.edge_rows(masks)
+    for left, row in enumerate(rows):  # each row's array goes as its text comes
+        rows[left] = _index_lines(row)
+    return rows, bits
+
+
+def _kept(rows, graph):
+    """_edge_texts(graph)'s rows, computed when first asked for and kept in rows."""
+    rows += _edge_texts(graph)[0]
+    yield from rows
+
+
 def graph_to_text(graph):
     return "".join(graph_chunks(graph))
 
 
 def graph_from_text(source):
     return _read_graph(_Lines(source))[0]
+
+
+def _spelled_set_graph(lines, n, right_count):
+    """(B_{n,k}, its _kept rows, how many of the chunks graph_chunks writes
+    for it after the header lines takes, whether that is all of them), for
+    k, then n - k, with C(n, k) = right_count, the first whose first chunk
+    lines takes and holds at most _SPELL subset elements; else no host."""
+    k, count = 0, 1  # count is C(n, k)
+    while 2 * k < n and count < right_count:
+        k, count = k + 1, count * (n - k) // (k + 1)
+    arities = dict.fromkeys((k, n - k)) if count == right_count else ()
+    for k in (j for j in arities if j and j * min(right_count, _BATCH) <= _SPELL):
+        host, rows, taken = set_bipartite(n, k), [], 0
+        for chunk in islice(graph_chunks(host, _kept(rows, host)), 1, None):
+            if not lines.take(chunk):
+                break
+            taken += 1
+        else:
+            return host, rows, taken, True
+        if taken:
+            return host, rows, taken, False
+    return None, None, 0, False
 
 
 # Run patterns take numbers of ten digits at most: a longer one is out of
@@ -214,9 +295,11 @@ _GRAPH_RUN = re.compile(
 
 
 def _read_graph(lines, sections=()):
-    """(graph, the line that ended it or None) from content lines: the
-    header, then rlabel and e lines, read into columns, up to one whose
-    first word is in sections."""
+    """(graph, the line that ended it or None, its _edge_texts rows or None)
+    from content lines: the header, then rlabel and e lines, read into
+    columns, up to one whose first word is in sections.  B_{n,k}'s chunks,
+    where the header names it, are taken first; unless all are, and then
+    such a line or the end, they are read again, as runs."""
     lines.pattern = None
     header = next(lines, "")
     if not header.startswith("bipartite"):
@@ -227,10 +310,15 @@ def _read_graph(lines, sections=()):
     left_count, right_count = _int(fields[1], "left count"), _int(fields[2], "right count")
     if not (0 <= left_count <= _MAX_INDEX and 0 <= right_count <= _MAX_INDEX):
         raise ValidationError(f"bad graph header {header!r}: counts must be 0..{_MAX_INDEX}")
+    host, rows, taken, whole = _spelled_set_graph(lines, left_count, right_count)
+    line = host and next(lines, None)
+    if whole and (line is None or line.split()[0] in sections):
+        return host, line, rows
+    taken = islice(graph_chunks(host, rows), 1, taken + 1) if host else ()
     lefts, rights = array("i"), array("i")  # per e line
     labeled, subsets = array("i"), []  # per rlabel line: its index and its subset field
     lines.pattern = _GRAPH_RUN
-    for line in lines:
+    for line in chain(taken, [line] if line else (), lines):
         parts = line.split()
         if parts[0] == "e" and len(parts) == 3:
             left, idx = _int(parts[1], "left"), _int(parts[2], "right index")
@@ -268,44 +356,26 @@ def _read_graph(lines, sections=()):
             raise ValidationError(f"unrecognized graph line {line!r}")
     else:
         line = None
-    k = _spelled_set_arity(left_count, right_count, labeled, subsets, lefts, rights)
-    if k:  # its subsets are its labels and its neighbourhoods alike
-        labels = neighborhoods = SubsetSequence(left_count, k)
-    else:
-        labels = list(range(1, right_count + 1))
-        for idx, subset in zip(labeled, subsets):
-            labels[idx - 1] = _parse_subset(subset) if subset else ()
-        neighborhoods = [[] for _ in labels]  # lefts per right, as read
-        for left, idx in zip(lefts, rights):
-            neighborhoods[idx - 1].append(left)
-        labels = tuple(labels)
-        neighborhoods = tuple(tuple(sorted(set(adjacent))) for adjacent in neighborhoods)
+    labels = list(range(1, right_count + 1))
+    for idx, subset in zip(labeled, subsets):
+        labels[idx - 1] = _parse_subset(subset) if subset else ()
+    neighborhoods = [[] for _ in labels]  # lefts per right, as read
+    for left, idx in zip(lefts, rights):
+        neighborhoods[idx - 1].append(left)
+    labels = tuple(labels)
+    neighborhoods = tuple(tuple(sorted(set(adjacent))) for adjacent in neighborhoods)
     k = set_graph_arity(left_count, labels, neighborhoods)
     if k:  # text that is exactly B_{n,k} reads as the lazy host
-        return set_bipartite(left_count, k), line
-    # tuple(): B_{n,k}'s own subsets make a graph like any other if set_graph_arity declines them
-    return BipartiteGraph(left_count, tuple(labels), tuple(neighborhoods)), line
-
-
-def _spelled_set_arity(n, right_count, labeled, subsets, lefts, rights):
-    """k when the columns read spell B_{n,k} as its writers do: rlabel runs
-    naming rights 1..C(n,k) in turn by its k-subsets, in lexicographic
-    order, and e lines listing each edge once as _in_mask_order takes
-    them; else 0."""
-    k = subsets[0].count(",") + 1 if subsets and subsets[0] else 0
-    if 1 <= k <= n and len(lefts) == k * right_count and is_subset_count(right_count, n, k):
-        host = set_bipartite(n, k)
-        if labeled == array("i", range(1, right_count + 1)) and len(subsets) == right_count:
-            if all(map(eq, subsets, _subset_names(n, k))):
-                return k if _in_mask_order(host, lefts, rights) else 0
-    return 0
+        return set_bipartite(left_count, k), line, None
+    return BipartiteGraph(left_count, labels, neighborhoods), line, None
 
 
 def _subset_names(n, k):
     """The k-subsets of [n] (k >= 0) in lexicographic order, spelled as
     rlabel and sc lines spell them, a prefix at a time: each is the name
     of its first k - m elements, a comma, and the name of its last m,
-    taken from a list of the C(n, m) <= _TAILS names of m-subsets."""
+    taken from a list of the C(n, m) <= _TAILS names of m-subsets.  A
+    prefix ends at n - m at most, so that each yields a name."""
     if k < 2:
         yield from map(str, range(1, n + 1)) if k else [""]
         return
@@ -314,7 +384,7 @@ def _subset_names(n, k):
         m += 1
     tails = [",".join(map(str, X)) for X in combinations(range(1, n + 1), m)]
     starts = [len(tails) - comb(n - x, m) for x in range(n + 1)]  # tails[starts[x]:] start past x
-    for prefix in combinations(range(1, n + 1), k - m):
+    for prefix in combinations(range(1, n - m + 1), k - m):
         head = ",".join(map(str, prefix)) + ","
         yield from map(head.__add__, tails[starts[prefix[-1]] :])
 
@@ -347,6 +417,7 @@ def coloring_to_text(coloring):
 
 _BIT_OF_LETTER = {"R": 0, "B": 1}
 _BIT_OF_BYTE = bytes.maketrans(b"RB", b"\0\1")
+_NOT_A_LETTER = bytes(sorted({*range(256)} - {*b"RB"}))
 _C_RUN = re.compile(r"(?:c [0-9]{1,10} [0-9]{1,10} [RB]\n){2,}")
 
 
@@ -384,9 +455,32 @@ def _read_coloring(lines, sections=()):
     return (lefts, rights, bits), None
 
 
+def _read_colors(lines, graph, rows, sections=()):
+    """(a function that packs the coloring of graph read, the line that
+    ended it or None), given graph's _edge_texts rows: each left's c lines
+    as coloring_chunks writes them, taken while the text spells them, then
+    what _read_coloring reads, the lefts taken ahead as columns."""
+    taken, whole = [], True  # each left's rights text and color bits
+    for left, text in enumerate(rows):
+        sep = f" R\nc {left} "
+        got = text and lines.take(sep[3:] + text.replace("\n", sep) + " R\n", masked=True)
+        if got is None:
+            whole = False
+            break
+        taken.append((text, got.encode().translate(_BIT_OF_BYTE, _NOT_A_LETTER)))
+    (lefts, rights, bits), line = _read_coloring(lines, sections)
+    if whole and not bits:
+        digits = bytes(_dealt(graph, [iter(row_bits) for _, row_bits in taken])).translate(_DIGIT)
+        return partial(_packed, graph, digits), line
+    lefts[:0] = array("i", chain.from_iterable(map(repeat, count(), (len(b) for _, b in taken))))
+    rights[:0] = array("i", map(int, chain.from_iterable(text.split() for text, _ in taken)))
+    bits[:0] = b"".join(row_bits for _, row_bits in taken)
+    return partial(pack_coloring, graph, lefts, rights, bits), line
+
+
 def coloring_from_text(source, graph):
-    columns, _ = _read_coloring(_Lines(source))
-    return pack_coloring(graph, *columns)  # validates totality
+    rows = map(_index_lines, graph.edge_rows()[0])
+    return _read_colors(_Lines(source), graph, rows)[0]()  # validates totality
 
 
 def infer_complete_host(source):
@@ -544,9 +638,7 @@ def certificate_chunks(host, witness, coloring=None):
     once, and each left's right indices formatted once, for its e lines and
     its c lines; ValidationError for a coloring of another graph."""
     _resolve(host, coloring)
-    rows, bits = host.edge_rows(None if coloring is None else coloring.masks)
-    for left, row in enumerate(rows):  # each row's array goes as its text comes
-        rows[left] = _index_lines(row)
+    rows, bits = _edge_texts(host, None if coloring is None else coloring.masks)
     yield "host\n"
     yield from graph_chunks(host, rows)
     if coloring is not None:
@@ -568,10 +660,11 @@ def certificate_to_text(host, witness, coloring=None):
 
 def certificate_from_text(source):
     """Parse a certificate in one pass; returns (host, coloring_or_None, witness).
-    Each section's lines go straight to its parser; none is kept as text."""
+    Each section's lines go straight to its parser; none is kept as text.  A
+    coloring section after the host section is read against the host."""
     lines = _Lines(source)
     sections = {}
-    claimed = None
+    claimed = rows = None
     line = next(lines, None)
     while line is not None:
         parts = line.split()
@@ -580,21 +673,27 @@ def certificate_from_text(source):
             raise ValidationError(f"certificate line {line!r} outside any section")
         if first in sections:
             raise ValidationError(f"duplicate certificate section {first!r}")
-        if first == "coloring":
-            sections[first], line = _read_coloring(lines, _SECTIONS)
+        if first == "coloring" and "host" in sections:
+            host = sections["host"]
+            rows = rows or map(_index_lines, host.edge_rows()[0])
+            sections[first], line = _read_colors(lines, host, rows, _SECTIONS)
+        elif first == "coloring":  # packed once the host is read
+            columns, line = _read_coloring(lines, _SECTIONS)
+            sections[first] = lambda: pack_coloring(sections["host"], *columns)
         elif first == "witness":
             if len(parts) != 2 or parts[1] not in ("R", "B", "-"):
                 raise ValidationError(f"bad witness section header {line!r}")
             claimed = None if parts[1] == "-" else Color.from_letter(parts[1])
             sections[first], line = _read_witness(lines)
         else:
-            sections[first], line = _read_graph(lines, _SECTIONS)
+            sections[first], line, texts = _read_graph(lines, _SECTIONS)
+            rows = texts if first == "host" else rows
     for required in ("host", "pattern", "witness"):
         if required not in sections:
             raise ValidationError(f"certificate is missing the {required!r} section")
 
     host, pattern, (lefts, rights) = sections["host"], sections["pattern"], sections["witness"]
-    coloring = pack_coloring(host, *sections["coloring"]) if "coloring" in sections else None
+    coloring = sections["coloring"]() if "coloring" in sections else None
     if sorted(lefts) != list(range(1, pattern.left_count + 1)):
         raise ValidationError("wleft lines must cover pattern lefts 1..c exactly")
     if sorted(rights) != list(range(1, len(pattern.right_labels) + 1)):

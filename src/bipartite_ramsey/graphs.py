@@ -36,7 +36,7 @@ from bisect import bisect_left
 from collections import Counter
 from dataclasses import dataclass
 from enum import IntEnum
-from functools import cached_property, partial
+from functools import cached_property
 from itertools import accumulate, chain, combinations, count, groupby, pairwise, permutations
 from itertools import product, repeat, starmap, zip_longest
 from operator import eq, ge, index as integer, rshift
@@ -347,28 +347,33 @@ def _packed(graph, text):
     return EdgeColoring(graph, (int(text[o:e][::-1] or b"0", 2) for o, e in ends))
 
 
+def _dealt(graph, rows):
+    """The items of rows, where rows[left] iterates over a left's items in
+    edge_rows order, in mask bit order: each edge, as mask bit order meets
+    it, takes the next item of its left's row."""
+    return map(next, map(rows.__getitem__, chain.from_iterable(graph.neighborhoods)))
+
+
 def _in_mask_order(graph, lefts, rights):
     """A function that puts a column in mask bit order, when the array('i')
     columns lefts and rights list each edge of the graph once, either in
     mask bit order or left by left with each left's right indices
     increasing (as edge_rows lists them); else None.  Left by left, each
-    left's stretch of a column is dealt out, in turn, to its edges as mask
-    bit order meets them: the walk random_coloring makes."""
+    left's stretch of a column is _dealt."""
     edges = graph.edge_count
-    flat = partial(chain.from_iterable, graph.neighborhoods)  # edges' lefts, in mask bit order
     def owners():  # edges' 1-based right indices, in mask bit order; a new iterator each call
         return chain.from_iterable(map(repeat, count(1), map(len, graph.neighborhoods)))
     if len(lefts) != edges or len(rights) != edges:
         return None
-    if all(map(eq, lefts, flat())):
+    if all(map(eq, lefts, chain.from_iterable(graph.neighborhoods))):
         return (lambda column: column) if all(map(eq, rights, owners())) else None
     runs = [(left, len(list(run))) for left, run in groupby(lefts)]
     spans = list(pairwise(accumulate((length for _, length in runs), initial=0)))
 
     def deal(column):
         view = memoryview(column)  # TypeError for a list
-        stretches = dict(zip((left for left, _ in runs), (iter(view[a:b]) for a, b in spans)))
-        return map(next, map(stretches.__getitem__, flat()))
+        stretches = (iter(view[a:b]) for a, b in spans)
+        return _dealt(graph, dict(zip((left for left, _ in runs), stretches)))
 
     try:  # a stretch that runs out ends the deal short of the owners
         dealt = all(starmap(eq, zip_longest(deal(rights), owners())))
@@ -397,7 +402,11 @@ def pack_coloring(graph, lefts, rights, bits):
             return _packed(graph, bytes(deal(digits)))
     # Every edge's left in mask bit order; right index i's run is starts[i - 1]:starts[i].
     table = _dense_table(chain.from_iterable(graph.neighborhoods), 0, graph.left_count)
-    starts = list(accumulate(map(len, graph.neighborhoods), initial=0))
+    d = graph._max_degree
+    if d and graph.edge_count == d * graph.right_count:  # every right of degree d
+        starts = range(0, d * (graph.right_count + 1), d)
+    else:
+        starts = list(accumulate(map(len, graph.neighborhoods), initial=0))
     text = bytearray(b"?") * len(table)
     for left, index, color in zip(lefts, rights, bits):
         try:
@@ -449,8 +458,7 @@ def random_coloring(graph, rng):
     degrees = Counter(chain.from_iterable(graph.neighborhoods))
     rows = [iter(bytes(map((0.5).__le__, [rng.random() for _ in range(degrees[left])]))
                  .translate(_DIGIT)) for left in range(graph.left_count + 1)]  # BLUE is 1
-    text = bytes(map(next, map(rows.__getitem__, chain.from_iterable(graph.neighborhoods))))
-    return _packed(graph, text)
+    return _packed(graph, bytes(_dealt(graph, rows)))
 
 
 @dataclass(frozen=True)

@@ -9,7 +9,10 @@ the mutant; a passing one lets it survive.  One line per mutant says
 which, with the seconds taken; the exit status is 1 if any survived.
 An old text that does not occur exactly once in its file is an error
 before anything runs, so a refactor that moves the code must move its
-mutants too.  Hypothesis runs with a fixed seed, so a run repeats.
+mutants too.  Hypothesis runs with a fixed seed, so a run repeats.  A
+run still going after TIMEOUT seconds is stopped and kills its mutant (a
+mutant can make rw write a host without end); pytest's temporary files
+go in the copy, and go with it.
 
 Stdlib only (pytest is what it runs), and not collected by pytest: its
 name does not start with test_.  Each fast path with a reference in the
@@ -27,11 +30,13 @@ from time import perf_counter
 
 ROOT = Path(__file__).resolve().parent.parent
 COPIED = ("src", "tests", "demos", "pyproject.toml")
+TIMEOUT = 600  # seconds; the tests take under a minute on a 2-core container
 
 Mutant = namedtuple("Mutant", "name file old new rule")
 
 GRAPHS = "src/bipartite_ramsey/graphs.py"
 FORMATS = "src/bipartite_ramsey/formats.py"
+CLI = "src/bipartite_ramsey/cli.py"
 
 MUTANTS = [
     Mutant("planes-little-endian", GRAPHS,
@@ -66,6 +71,62 @@ MUTANTS = [
            '''return _column(ints.values()) and''',
            '''return _column(list(ints.values())[:1]) and''',
            "every left in a run is checked to be in 1..2^31 - 1"),
+    Mutant("taken-bits-not-dealt", FORMATS,
+           '''bytes(_dealt(graph, [iter(row_bits) for _, row_bits in taken]))''',
+           '''b"".join(row_bits for _, row_bits in taken)''',
+           "colors taken left by left go to mask bit order"),
+    Mutant("comparison-ignores-last-character", FORMATS,
+           '''while chunk.startswith(piece.replace("B", "R") if masked else piece, seen):''',
+           '''while chunk[:-1].startswith((piece.replace("B", "R") if masked else piece)'''
+           '''[: len(chunk) - 1 - seen], seen):''',
+           "a chunk is taken only where the text spells all of it"),
+    Mutant("fallback-drops-taken-columns", FORMATS,
+           '''    rights[:0] = array("i", map(int, chain.from_iterable(text.split() for text, _ in taken)))
+    bits[:0] = b"".join(row_bits for _, row_bits in taken)''',
+           '''    pass''',
+           "the lefts taken before the text departs stand in for their columns"),
+    Mutant("k-and-n-minus-k-swapped", FORMATS,
+           '''host, rows, taken = set_bipartite(n, k), [], 0''',
+           '''host, rows, taken = set_bipartite(n, n - k), [], 0''',
+           "the chunks compared are those of the arity being tried"),
+    Mutant("graph-chunks-not-replayed", FORMATS,
+           '''for line in chain(taken, [line] if line else (), lines):''',
+           '''for line in chain([line] if line else (), lines):''',
+           "graph chunks taken before the text departs are read as runs"),
+    Mutant("letters-not-masked", FORMATS,
+           '''piece.replace("B", "R") if masked else piece''',
+           '''piece''',
+           "a c chunk is taken whatever its colors"),
+    Mutant("take-with-lines-pending", FORMATS,
+           '''        if pos is None:  # lines split off with the last item are still to come
+            return None''',
+           '''        if pos is None:  # lines split off with the last item are still to come
+            pos = 0''',
+           "a chunk is compared from the line after the last item"),
+    Mutant("whole-graph-past-a-line", FORMATS,
+           '''(line is None or line.split()[0] in sections)''',
+           '''(line is None or line.split()[0] in sections or line[0] == "e")''',
+           "a graph is B_{n,k} only if no line follows its chunks"),
+    Mutant("whole-coloring-past-a-line", FORMATS,
+           '''if whole and not bits:''',
+           '''if whole:''',
+           "a coloring is taken whole only if no c line follows its chunks"),
+    Mutant("no-n-minus-k", FORMATS,
+           '''arities = dict.fromkeys((k, n - k))''',
+           '''arities = dict.fromkeys((k,))''',
+           "B_{n,k} with k > n/2 is taken too"),
+    Mutant("names-prefix-one-short", FORMATS,
+           '''combinations(range(1, n - m + 1), k - m)''',
+           '''combinations(range(1, n - m), k - m)''',
+           "the prefixes of names stop at n - m, not before"),
+    Mutant("regular-starts-one-short", GRAPHS,
+           '''starts = range(0, d * (graph.right_count + 1), d)''',
+           '''starts = range(0, d * graph.right_count, d)''',
+           "the regular-degree starts run to the last right's end"),
+    Mutant("host-limit-off-by-one", CLI,
+           '''if max(lefts, rights) > formats._MAX_INDEX:''',
+           '''if max(lefts, rights) > formats._MAX_INDEX + 1:''',
+           "rw build and embed refuse a host past 2^31 - 1 lefts or rights"),
 ]
 
 
@@ -90,11 +151,14 @@ def run(mutant):
         target = copy / mutant.file
         target.write_text(target.read_text(encoding="utf-8").replace(mutant.old, mutant.new),
                           encoding="utf-8")
-        proc = subprocess.run(
-            [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider",
-             "--hypothesis-seed=0"],
-            cwd=copy, capture_output=True, text=True,
-        )
+        try:
+            proc = subprocess.run(
+                [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider",
+                 "--hypothesis-seed=0", "--basetemp", str(copy / "pytest-tmp")],
+                cwd=copy, capture_output=True, text=True, timeout=TIMEOUT,
+            )
+        except subprocess.TimeoutExpired:
+            return True
         if proc.returncode in (3, 4, 5):  # pytest's own failure, not the tests'
             sys.exit(f"mutant {mutant.name}: pytest exited {proc.returncode}\n{proc.stdout[-2000:]}")
         return proc.returncode != 0

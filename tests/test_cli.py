@@ -13,6 +13,7 @@ import pytest
 
 from bipartite_ramsey import (
     RED,
+    ParameterError,
     InducedCopyWitness,
     SubsetColoring,
     complete_bipartite,
@@ -21,7 +22,7 @@ from bipartite_ramsey import (
     set_bipartite,
 )
 from bipartite_ramsey import formats
-from bipartite_ramsey.cli import main
+from bipartite_ramsey.cli import _check_host, main
 from bipartite_ramsey.formats import (
     certificate_from_text,
     certificate_to_text,
@@ -58,6 +59,37 @@ def test_build_setgraph_stdout(capsys):
 
 def test_build_bad_parameters(capsys):
     assert main(["build", "setgraph", "--n", "2", "--k", "5"]) == 3
+
+
+def test_the_host_limit_is_the_readers_header_limit():
+    _check_host("a host", formats._MAX_INDEX, formats._MAX_INDEX)  # what a header may name
+    for lefts, rights in ((formats._MAX_INDEX + 1, 0), (0, formats._MAX_INDEX + 1)):
+        with pytest.raises(ParameterError):
+            _check_host("a host", lefts, rights)
+
+
+@pytest.mark.parametrize("argv", [
+    ["build", "setgraph", "--n", "40", "--k", "20"],  # C(40, 20) rights
+    ["build", "setgraph", "--n", "2147483647", "--k", "2"],
+    ["build", "complete", "--n", "3000000000", "--k", "1"],
+    ["build", "complete", "--n", "1", "--k", "3000000000"],
+    ["embed", "bipartite 20 1\ne 1 1\n"],  # into B_{41,21}
+    ["embed", "bipartite 2147483647 1\ne 1 1\n"],  # into B_{2^32 - 1, 2^31}
+])
+def test_a_host_past_the_header_limit_is_refused_before_it_is_built(argv, tmp_path):
+    """In a process of its own, stopped after 10 s: a host that is not
+    refused is written whole, for hours."""
+    if argv[0] == "embed":
+        argv = ["embed", write(tmp_path / "p.txt", argv[1])]
+    out = tmp_path / "out.txt"
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-m", "bipartite_ramsey.cli", *argv, "-o", str(out)],
+                          capture_output=True, env={**os.environ, "PYTHONPATH": path},
+                          text=True, timeout=10)
+    assert proc.returncode == 3
+    assert "more than 2147483647 lefts or rights" in proc.stderr
+    assert not out.exists()
 
 
 def test_embed_and_verify(tmp_path, single_edge_pattern):

@@ -47,6 +47,7 @@ from bipartite_ramsey import (  # noqa: E402
 )
 from bipartite_ramsey import formats  # noqa: E402
 from bipartite_ramsey.cli import main  # noqa: E402
+from bipartite_ramsey.subsets import capped_comb  # noqa: E402
 from conftest import position_rule_coloring  # noqa: E402
 
 # Example counts come from the Hypothesis profile: 100 by default, more
@@ -616,6 +617,34 @@ def params_runs(draw):
     return ["params", "p.txt"], {"p.txt": text}
 
 
+# A host that fits the header limit is written whole, however long its text
+# (B_{33,16} has 1.2 * 10^9 rights), so the embed and build draws are either
+# past the limit, to be refused, or small enough to be written at once.
+SMALL_HOST = 10_000  # most edges of a host the draws below let rw write
+
+
+@st.composite
+def embed_runs(draw):
+    """rw embed on a pattern of c lefts and one to three rights: its host
+    B_{2c+d,c+1} has more than MAX_INDEX rights from c = 17, and at most
+    45,045 edges up to c = 6."""
+    lefts, rights = draw(st.integers(1, 6) | st.integers(17, MAX_INDEX)), draw(st.integers(1, 3))
+    edges = draw(st.lists(st.tuples(st.integers(1, lefts), st.integers(1, rights)), max_size=3))
+    text = f"bipartite {lefts} {rights}\n" + "".join(f"e {x} {y}\n" for x, y in edges)
+    return ["embed", "p.txt", "-o", "cert.txt"], {"p.txt": text, "cert.txt": ""}
+
+
+@st.composite
+def build_runs(draw):
+    """rw build of a host past the header limit, or of at most SMALL_HOST edges."""
+    kind = draw(st.sampled_from(["complete", "setgraph"]))
+    n, k = draw(st.integers(-1, 2**40)), draw(st.integers(-1, 2**40))
+    edges = n * k if kind == "complete" else k * capped_comb(n, k, SMALL_HOST + 1)
+    past = max(n, k if kind == "complete" else capped_comb(n, k, MAX_INDEX + 1)) > MAX_INDEX
+    hypothesis.assume(past or edges <= SMALL_HOST)
+    return ["build", kind, "--n", str(n), "--k", str(k), "-o", "g.txt"], {"g.txt": ""}
+
+
 def test_huge_numbers_end_in_an_exit_code_at_once(tmp_path_factory):
     """ROADMAP item 9: a few bytes of input cost a refusal no more than
     their own size.  Each run is a fresh rw process of at most 1 GiB, so
@@ -630,7 +659,8 @@ def test_huge_numbers_end_in_an_exit_code_at_once(tmp_path_factory):
         resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
 
     @hypothesis.settings(deadline=None, max_examples=hypothesis.settings.default.max_examples // 2)
-    @hypothesis.given(subset_coloring_runs() | ramsey_runs() | coloring_runs() | params_runs())
+    @hypothesis.given(subset_coloring_runs() | ramsey_runs() | coloring_runs() | params_runs()
+                      | embed_runs() | build_runs())
     def check(run):
         argv, files = run
         for name, text in files.items():

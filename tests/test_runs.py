@@ -367,7 +367,8 @@ def mangle(draw, lines):
     """The lines with one to six random changes, each a kind of line the
     run reader must hand to the line parser: comments, blank lines, CRLF
     ends and tabs; other spellings of a number; indices past 2^31 - 1 or
-    out of range; duplicate, missing and out-of-order lines; section lines."""
+    out of range; duplicate, missing and out-of-order lines; section lines;
+    a color letter flipped, lowercase, or not a color."""
     lines = list(lines)
     for _ in range(draw(st.integers(1, 6))):
         if not lines:
@@ -375,7 +376,8 @@ def mangle(draw, lines):
         at = draw(st.integers(1, len(lines) - 1)) if len(lines) > 1 else 0
         line = lines[at]
         action = draw(st.sampled_from(
-            ["insert", "crlf", "tab", "spell", "nonascii", "big", "bump", "dup", "drop", "swap"]
+            ["insert", "crlf", "tab", "spell", "nonascii", "big", "bump", "dup", "drop", "swap",
+             "flip", "letter", "lower"]
         ))
         numbers = [i for i, c in enumerate(line) if c.isdigit() and not line[i - 1 : i].isdigit()]
         if action == "insert":
@@ -390,6 +392,9 @@ def mangle(draw, lines):
             del lines[at]
         elif action == "swap" and at + 1 < len(lines):
             lines[at], lines[at + 1] = lines[at + 1], line
+        elif action in ("flip", "letter", "lower") and line[-2:] in (" R", " B"):
+            letter = {"flip": "BR"[line[-1] == "B"], "letter": "G", "lower": line[-1].lower()}
+            lines[at] = line[:-1] + letter[action]
         elif numbers and action in ("spell", "nonascii", "big", "bump"):
             i = draw(st.sampled_from(numbers))
             j = i
@@ -504,6 +509,101 @@ def test_run_readers_agree_on_chosen_files(what, text, host):
     for block in BLOCKS:
         with block_size(block):
             assert outcome(new, text, host) == expected, block
+
+
+def test_nothing_is_taken_while_lines_of_a_batch_are_pending():
+    lines = formats._Lines("#\n" * 40 + "a\nb\nc\n")
+    assert next(lines) == "a"  # b was split off with it, after forty comment lines
+    assert lines.take("b\n") is None and lines.take("#\n") is None
+    assert list(lines) == ["b", "c"]
+
+
+def certificate_lines(host):
+    """A certificate of host, a random coloring and a one-edge witness, as
+    certificate_to_text writes it: {section: its lines, header included}."""
+    coloring = random_coloring(host, random.Random(7))
+    witness = InducedCopyWitness(complete_bipartite(1, 1), [1], [host.right_labels[-1]])
+    sections, name = {}, None
+    for line in formats.certificate_to_text(host, witness, coloring).splitlines():
+        name = line if line in ("host", "coloring", "pattern") else name
+        sections.setdefault(name, []).append(line)
+    return sections
+
+
+def departed(host, section, change):
+    """certificate_lines(host) with change(that section's lines) in place of them."""
+    sections = certificate_lines(host)
+    sections[section] = change(sections[section])
+    return "\n".join(chain.from_iterable(sections.values())) + "\n"
+
+
+def swapped(first, second):
+    def change(lines):
+        lines = lines[:]
+        lines[first], lines[second] = lines[second], lines[first]
+        return lines
+    return change
+
+
+B63 = set_bipartite(6, 3)  # 20 rights, 60 edges: rlabel lines 2-21, e lines 22-81, c lines 1-60
+
+
+@pytest.mark.parametrize("text", [
+    # departs from the writer's text at its first left, or at its last
+    departed(B63, "host", swapped(22, 23)),
+    departed(B63, "coloring", swapped(1, 2)),
+    departed(B63, "host", swapped(-1, -2)),
+    departed(B63, "coloring", swapped(-1, -2)),
+    departed(B63, "coloring", lambda lines: lines[:-1] + [lines[-1] + "\t"]),
+    # only in the coloring section: a letter that is not a color, lowercase, flipped
+    departed(B63, "coloring", lambda lines: lines[:30] + [lines[30][:-1] + "G"] + lines[31:]),
+    departed(B63, "coloring", lambda lines: lines[:30] + [lines[30][:-1] + "r"] + lines[31:]),
+    departed(B63, "coloring",
+             lambda lines: lines[:30] + [lines[30][:-1] + "BR"[lines[30][-1] == "B"]] + lines[31:]),
+    # a line after the last chunk, and a digit more on a chunk's last line
+    departed(B63, "host", lambda lines: lines + [lines[-1]]),
+    departed(B63, "coloring", lambda lines: lines + [lines[-1]]),
+    departed(B63, "coloring", lambda lines: lines + ["c 1 1 R"]),
+    departed(B63, "host", lambda lines: lines[:-1] + [lines[-1] + "0"]),
+    departed(B63, "coloring", lambda lines: lines[:10] + [lines[10] + "B"] + lines[11:]),
+    departed(B63, "host", lambda lines: lines[:21] + [lines[21] + "0"] + lines[22:]),
+    # the coloring before the host, and a coloring section under another host
+    "\n".join(chain.from_iterable(
+        certificate_lines(B63)[name] for name in ("coloring", "host", "pattern"))),
+    departed(complete_bipartite(3, 4), "coloring", swapped(-1, -5)),
+    departed(complete_bipartite(3, 4), "coloring", lambda lines: lines[:-1]),
+    departed(set_bipartite(5, 4), "coloring", lambda lines: lines + ["# the end"]),
+])
+def test_certificates_that_depart_from_the_writer_read_as_the_reference_reads(text):
+    new, reference = READERS["certificate"]
+    expected = outcome(reference, text, None)
+    for block in BLOCKS:
+        with block_size(block):
+            assert outcome(new, text, None) == expected, block
+
+
+@pytest.mark.parametrize("host", [B63, set_bipartite(5, 4), set_bipartite(4, 2),
+                                  set_bipartite(513, 1), complete_bipartite(3, 4)])
+def test_the_writers_text_is_taken_whole(host, monkeypatch):
+    """Graph text of B_{n,k} (k > n/2 included, and k = 1 where n - k is
+    past _SPELL) and a coloring of any host read as the writer wrote them,
+    without the generic parse."""
+    coloring = random_coloring(host, random.Random(1))
+    graph_text, coloring_text = formats.graph_to_text(host), formats.coloring_to_text(coloring)
+    sections = certificate_lines(host)
+    certificate = "\n".join(chain.from_iterable(sections.values()))
+    expected = reference_certificate_from_text(certificate)
+
+    def generic(*args):
+        raise AssertionError("read line by line")
+
+    monkeypatch.setattr(formats, "pack_coloring", generic)
+    assert formats.coloring_from_text(coloring_text, host) == coloring
+    got = formats.certificate_from_text(certificate)
+    assert got[1].masks == expected[1].masks and got[0] == expected[0]
+    if host.membership_arity:
+        monkeypatch.setattr(formats, "set_graph_arity", generic)
+        assert formats.graph_from_text(graph_text) == host
 
 
 def test_a_run_under_a_wide_header_is_refused_without_its_subsets():
