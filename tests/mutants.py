@@ -4,9 +4,11 @@
 
 For each mutant, src/ is copied with tests/, demos/ and pyproject.toml to
 a temporary directory, the mutant's old text in its file is replaced by
-its new text, and `pytest -x -q` runs on the copy.  A failing run kills
-the mutant; a passing one lets it survive.  One line per mutant says
-which, with the seconds taken; the exit status is 1 if any survived.
+its new text, and `pytest -x -q` runs on the copy's test files, those in
+FIRST first: it stops at the first failure, and most mutants fail in
+one of them.  A failing run kills the mutant; a passing one lets it
+survive.  One line per mutant says which, with the seconds taken; the
+exit status is 1 if any survived.
 An old text that does not occur exactly once in its file is an error
 before anything runs, so a refactor that moves the code must move its
 mutants too.  Hypothesis runs with a fixed seed, so a run repeats.  A
@@ -31,12 +33,16 @@ from time import perf_counter
 ROOT = Path(__file__).resolve().parent.parent
 COPIED = ("src", "tests", "demos", "pyproject.toml")
 TIMEOUT = 600  # seconds; the tests take under a minute on a 2-core container
+FIRST = (  # the files that kill most mutants, each in a few seconds
+    "test_runs.py", "test_bulk.py", "test_set_host.py", "test_packed.py", "test_hypergraph.py",
+)
 
 Mutant = namedtuple("Mutant", "name file old new rule")
 
 GRAPHS = "src/bipartite_ramsey/graphs.py"
 FORMATS = "src/bipartite_ramsey/formats.py"
 CLI = "src/bipartite_ramsey/cli.py"
+HYPERGRAPH = "src/bipartite_ramsey/hypergraph.py"
 
 MUTANTS = [
     Mutant("planes-little-endian", GRAPHS,
@@ -59,14 +65,16 @@ MUTANTS = [
            '''int(text[o:e][::-1] or b"0", 2)''',
            '''int(text[o:e] or b"0", 2)''',
            "a right's first digit is its mask's lowest bit"),
-    Mutant("prefix-without-comma", FORMATS,
-           '''head = ",".join(map(str, prefix)) + ","''',
-           '''head = ",".join(map(str, prefix))''',
-           "a subset's name separates every element by a comma"),
-    Mutant("last-elements-off-by-one", FORMATS,
-           '''starts = [len(tails) - comb(n - x, m) for x in range(n + 1)]''',
-           '''starts = [len(tails) - comb(n - x + 1, m) for x in range(n + 1)]''',
-           "a prefix is followed by exactly the tails whose elements are above it"),
+    Mutant("names-from-zero", FORMATS,
+           '''[str(x) for x in range(1, n + 1)]''',
+           '''[str(x) for x in range(n)]''',
+           "a subset's elements are spelled from 1"),
+    Mutant("names-of-one-from-a-list", FORMATS,
+           '''    if k < 2:
+        yield from map(str, range(1, n + 1))''',
+           '''    if k < 1:
+        yield from map(str, range(1, n + 1))''',
+           "names of one element build no list of [n]"),
     Mutant("left-range-first-key-only", FORMATS,
            '''return _column(ints.values()) and''',
            '''return _column(list(ints.values())[:1]) and''',
@@ -88,7 +96,7 @@ MUTANTS = [
     Mutant("k-and-n-minus-k-swapped", FORMATS,
            '''host, rows, taken = set_bipartite(n, k), [], 0''',
            '''host, rows, taken = set_bipartite(n, n - k), [], 0''',
-           "the chunks compared are those of the arity being tried"),
+           "the chunks compared are those of B_{n,k}, k <= n/2"),
     Mutant("graph-chunks-not-replayed", FORMATS,
            '''for line in chain(taken, [line] if line else (), lines):''',
            '''for line in chain([line] if line else (), lines):''',
@@ -111,18 +119,34 @@ MUTANTS = [
            '''if whole and not bits:''',
            '''if whole:''',
            "a coloring is taken whole only if no c line follows its chunks"),
-    Mutant("no-n-minus-k", FORMATS,
-           '''arities = dict.fromkeys((k, n - k))''',
-           '''arities = dict.fromkeys((k,))''',
-           "B_{n,k} with k > n/2 is taken too"),
-    Mutant("names-prefix-one-short", FORMATS,
-           '''combinations(range(1, n - m + 1), k - m)''',
-           '''combinations(range(1, n - m), k - m)''',
-           "the prefixes of names stop at n - m, not before"),
+    Mutant("any-count-a-candidate", FORMATS,
+           '''if not (k and count == right_count):''',
+           '''if not k:''',
+           "B_{n,k}'s chunks are compared only under a header of C(n, k) rights"),
     Mutant("regular-starts-one-short", GRAPHS,
            '''starts = range(0, d * (graph.right_count + 1), d)''',
            '''starts = range(0, d * graph.right_count, d)''',
            "the regular-degree starts run to the last right's end"),
+    Mutant("packer-bisects-from-zero", GRAPHS,
+           '''p = bisect_left(table, left, starts[index - 1], e)''',
+           '''p = bisect_left(table, left, 0, e)''',
+           "an edge is looked up among its own right's lefts"),
+    Mutant("oracle-candidates-not-induced", GRAPHS,
+           '''if adjacent & left_set == need''',
+           '''if need <= adjacent''',
+           "a candidate's neighbourhood among the mapped lefts is exactly the needed one"),
+    Mutant("verify-reads-the-pattern-position", GRAPHS,
+           '''masks[r] >> _bit(neighbors, lefts[i - 1]) & 1 != color''',
+           '''masks[r] >> i - 1 & 1 != color''',
+           "an edge's color is read at its host left's bit"),
+    Mutant("vote-table-bits-reversed", HYPERGRAPH,
+           '''(RED, BLUE)[m >> p & 1] for p in range(k)''',
+           '''(RED, BLUE)[m >> (k - 1 - p) & 1] for p in range(k)''',
+           "bit p of a subset's mask votes for its position p + 1"),
+    Mutant("rank-sums-one-low", HYPERGRAPH,
+           '''c = comb(n - v, k - t + 1)''',
+           '''c = comb(n - v, k - t)''',
+           "a prefix's rank sums add C(n - v, k - t + 1) for a vertex at position t - 1"),
     Mutant("host-limit-off-by-one", CLI,
            '''if max(lefts, rights) > formats._MAX_INDEX:''',
            '''if max(lefts, rights) > formats._MAX_INDEX + 1:''',
@@ -135,6 +159,12 @@ def check(mutants):
         found = (ROOT / m.file).read_text(encoding="utf-8").count(m.old)
         if found != 1:
             sys.exit(f"mutant {m.name}: its old text occurs {found} times in {m.file}, not once")
+
+
+def ordered_files():
+    """Every test file, as pytest is given them: FIRST, then the rest by name."""
+    rest = sorted(p.name for p in (ROOT / "tests").glob("test_*.py") if p.name not in FIRST)
+    return [f"tests/{name}" for name in (*FIRST, *rest)]
 
 
 def run(mutant):
@@ -154,7 +184,7 @@ def run(mutant):
         try:
             proc = subprocess.run(
                 [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider",
-                 "--hypothesis-seed=0", "--basetemp", str(copy / "pytest-tmp")],
+                 "--hypothesis-seed=0", "--basetemp", str(copy / "pytest-tmp"), *ordered_files()],
                 cwd=copy, capture_output=True, text=True, timeout=TIMEOUT,
             )
         except subprocess.TimeoutExpired:

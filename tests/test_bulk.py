@@ -1,16 +1,21 @@
 """Bulk conversions against the per-item code they replaced.
 
 graphs._packed builds the masks of a host whose rights all have the same
-degree d <= 8 from d bit planes, formats._subset_names spells subsets
-from shared prefixes, and formats._left_column converts each distinct
-field of a run's left column once.  The bodies below are the ones they
-replaced, verbatim but for their names: every input must give the same
-value, or be refused by both.
+degree d <= 8 from d bit planes, formats._subset_names spells each
+element once for all the subsets, and formats._left_column converts each
+distinct field of a run's left column once.  The bodies below are the
+ones they replaced, verbatim but for their names: every input must give
+the same value, or be refused by both.
 """
 
+import os
 import random
+import resource
+import subprocess
+import sys
 from array import array
 from itertools import accumulate, combinations, pairwise, repeat
+from pathlib import Path
 
 import pytest
 
@@ -18,11 +23,11 @@ hypothesis = pytest.importorskip("hypothesis")
 st = hypothesis.strategies
 
 from bipartite_ramsey import ValidationError, complete_bipartite, set_bipartite  # noqa: E402
-from bipartite_ramsey import formats  # noqa: E402
 from bipartite_ramsey.formats import _MAX_INDEX, _left_column, _subset_names  # noqa: E402
 from bipartite_ramsey.graphs import BipartiteGraph, EdgeColoring, _packed  # noqa: E402
 
 SETTINGS = hypothesis.settings(deadline=None)
+SRC = str(Path(__file__).resolve().parent.parent / "src")
 
 
 # -- the per-item code, as it was ------------------------------------------------
@@ -106,10 +111,7 @@ def test_plane_packer_error_is_a_validation_error():
 # -- subset names ----------------------------------------------------------------
 
 
-@pytest.mark.parametrize("tails", [1, 4, 30, formats._TAILS])
-def test_subset_names_match_one_join_per_subset(monkeypatch, tails):
-    # A small _TAILS makes the prefixes long, as a wide [n] does.
-    monkeypatch.setattr(formats, "_TAILS", tails)
+def test_subset_names_match_one_join_per_subset():
     for n in range(11):
         for k in range(n + 2):
             subsets = combinations(range(1, n + 1), k)
@@ -120,6 +122,19 @@ def test_subset_names_at_a_wide_ground_set_start_at_once():
     names = _subset_names(1 << 16, 20_000)
     assert next(names) == ",".join(map(str, range(1, 20_001)))
     assert next(names) == ",".join(map(str, [*range(1, 20_000), 20_001]))
+
+
+def test_subset_names_of_fewer_than_two_elements_build_no_list_of_the_ground_set():
+    # A list of [2^31 - 1] would pass the child's 1 GiB, or its 10 s.
+    code = ("from itertools import islice; from bipartite_ramsey.formats import _subset_names; "
+            "print(*islice(_subset_names(2**31 - 1, 1), 3), *_subset_names(2**31 - 1, 0), 'end')")
+
+    def one_gib():
+        resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+    proc = subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": SRC},
+                          capture_output=True, text=True, timeout=10, preexec_fn=one_gib)
+    assert proc.stdout == "1 2 3  end\n", proc.stderr[-500:]
 
 
 # -- left columns ----------------------------------------------------------------

@@ -29,11 +29,13 @@ from bipartite_ramsey import (  # noqa: E402
     SubsetColoring,
     ValidationError,
     complete_bipartite,
+    find_induced_monochromatic,
     make_graph,
     random_coloring,
     set_bipartite,
 )
 from bipartite_ramsey import formats  # noqa: E402
+from bipartite_ramsey.cli import main  # noqa: E402
 from bipartite_ramsey.formats import (  # noqa: E402
     _MAX_INDEX,
     _SECTIONS,
@@ -51,6 +53,7 @@ from bipartite_ramsey.graphs import (  # noqa: E402
     set_graph_arity,
 )
 from bipartite_ramsey.hypergraph import _rank_table  # noqa: E402
+from bipartite_ramsey.subsets import SubsetSequence  # noqa: E402
 
 SETTINGS = hypothesis.settings(deadline=None)
 _BLOCK = 1 << 16
@@ -492,6 +495,9 @@ COLORING_52 = "".join(f"c {x} {i} R\n" for i, X in enumerate(set_bipartite(5, 2)
     ("graph", formats.graph_to_text(set_bipartite(4, 2)).replace("rlabel 6 ", "rlabel 5 "), None),
     ("graph", formats.graph_to_text(set_bipartite(4, 2)).replace("\ne 1 1", "\ne 2147483648 1"), None),
     ("graph", "bipartite 2 2\nrlabel 1 1,x\nbogus\n", None),  # the first bad line speaks
+    # B_{4,2}'s lines under a header of one right fewer or more than C(4, 2)
+    ("graph", formats.graph_to_text(set_bipartite(4, 2)).replace(" 4 6\n", " 4 5\n", 1), None),
+    ("graph", formats.graph_to_text(set_bipartite(4, 2)).replace(" 4 6\n", " 4 7\n", 1), None),
     # a number past int()'s 4,300 digits, in what would be a run
     ("coloring", f"c 1 1 R\nc {'1' * 5000} 2 R\nc 1 2 R\n", complete_bipartite(2, 2)),
     ("graph", f"bipartite 2 2\ne 1 1\ne 1 {'2' * 5000}\n", None),
@@ -585,9 +591,8 @@ def test_certificates_that_depart_from_the_writer_read_as_the_reference_reads(te
 @pytest.mark.parametrize("host", [B63, set_bipartite(5, 4), set_bipartite(4, 2),
                                   set_bipartite(513, 1), complete_bipartite(3, 4)])
 def test_the_writers_text_is_taken_whole(host, monkeypatch):
-    """Graph text of B_{n,k} (k > n/2 included, and k = 1 where n - k is
-    past _SPELL) and a coloring of any host read as the writer wrote them,
-    without the generic parse."""
+    """Graph text of B_{n,k} with k <= n/2 and a coloring of any host (B_{5,4}
+    included) read as the writer wrote them, without the generic parse."""
     coloring = random_coloring(host, random.Random(1))
     graph_text, coloring_text = formats.graph_to_text(host), formats.coloring_to_text(coloring)
     sections = certificate_lines(host)
@@ -601,9 +606,27 @@ def test_the_writers_text_is_taken_whole(host, monkeypatch):
     assert formats.coloring_from_text(coloring_text, host) == coloring
     got = formats.certificate_from_text(certificate)
     assert got[1].masks == expected[1].masks and got[0] == expected[0]
-    if host.membership_arity:
+    if host.membership_arity and 2 * host.membership_arity <= host.left_count:
         monkeypatch.setattr(formats, "set_graph_arity", generic)
         assert formats.graph_from_text(graph_text) == host
+
+
+@pytest.mark.parametrize("n, k", [(5, 4), (7, 4), (24, 19)])
+def test_the_writers_text_of_b_n_k_past_n_over_2_reads_as_the_lazy_host(n, k):
+    got = formats.graph_from_text(formats.graph_to_text(set_bipartite(n, k)))
+    assert got == set_bipartite(n, k) and type(got.right_labels) is SubsetSequence
+
+
+def test_a_certificate_on_b_5_4_verifies(tmp_path):
+    host = set_bipartite(5, 4)
+    coloring = random_coloring(host, random.Random(3))
+    pattern = make_graph(2, (1, 2), {(1, 1), (2, 1), (1, 2)})
+    witness = find_induced_monochromatic(host, coloring, pattern)
+    text = formats.certificate_to_text(host, witness, coloring)
+    assert formats.certificate_from_text(text) == (host, coloring, witness)
+    path = tmp_path / "b54.cert"
+    path.write_text(text, encoding="utf-8")
+    assert main(["verify", str(path)]) == 0
 
 
 def test_a_run_under_a_wide_header_is_refused_without_its_subsets():
