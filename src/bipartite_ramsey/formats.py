@@ -57,8 +57,7 @@ A reader that knows its host compares the text with the chunks the
 writer would write for it (_Lines.take), and takes each chunk the text
 spells whole, unparsed: in a certificate's coloring section after its
 host section, in coloring_from_text, and in graph text whose header gives
-C(n, k) rights for a k <= n/2 (B_{n,k} with k > n/2 goes to the run and
-line parsers, which read it as the same lazy host).
+C(n, k) rights (B_{n,k} or B_{n,n-k}, as the first rlabel chunk says).
 A c chunk is compared with its letters read as R, and the letters are
 then read out as bits and _dealt to mask bit order.  From the first chunk
 that differs, the section goes to the run and line parsers, the chunks
@@ -80,6 +79,7 @@ from .subsets import SubsetSequence, is_subset_count
 
 _BLOCK = 1 << 16  # characters read at a time
 _BATCH = 4096  # lines per chunk where there is no left to chunk by
+_SPELL = 1 << 18  # most subset elements in a first rlabel chunk built to be compared
 _MAX_INDEX = (1 << 31) - 1  # vertex indices are 4-byte, as in array("i") columns and rows
 _SECTIONS = ("host", "coloring", "pattern", "witness")
 
@@ -266,18 +266,23 @@ def graph_from_text(source):
 def _spelled_set_graph(lines, n, right_count):
     """(B_{n,k}, its _kept rows, how many of the chunks graph_chunks writes
     for it after the header lines takes, whether that is all of them), for
-    the 1 <= k <= n/2 with C(n, k) = right_count; else no host."""
+    k, then n - k, with C(n, k) = right_count, the first whose first chunk
+    lines takes and holds at most _SPELL subset elements; else no host."""
     k, count = 0, 1  # count is C(n, k)
     while 2 * k < n and count < right_count:
         k, count = k + 1, count * (n - k) // (k + 1)
-    if not (k and count == right_count):
-        return None, None, 0, False
-    host, rows, taken = set_bipartite(n, k), [], 0
-    for chunk in islice(graph_chunks(host, _kept(rows, host)), 1, None):
-        if not lines.take(chunk):
+    arities = dict.fromkeys((k, n - k)) if count == right_count else ()
+    for k in (j for j in arities if j and j * min(right_count, _BATCH) <= _SPELL):
+        host, rows, taken = set_bipartite(n, k), [], 0
+        for chunk in islice(graph_chunks(host, _kept(rows, host)), 1, None):
+            if not lines.take(chunk):
+                break
+            taken += 1
+        else:
+            return host, rows, taken, True
+        if taken:
             return host, rows, taken, False
-        taken += 1
-    return host, rows, taken, True
+    return None, None, 0, False
 
 
 # Run patterns take numbers of ten digits at most: a longer one is out of
@@ -304,10 +309,10 @@ def _read_graph(lines, sections=()):
     if not (0 <= left_count <= _MAX_INDEX and 0 <= right_count <= _MAX_INDEX):
         raise ValidationError(f"bad graph header {header!r}: counts must be 0..{_MAX_INDEX}")
     host, rows, taken, whole = _spelled_set_graph(lines, left_count, right_count)
-    line = whole and next(lines, None)
+    line = host and next(lines, None)
     if whole and (line is None or line.split()[0] in sections):
         return host, line, rows
-    taken = islice(graph_chunks(host, rows), 1, taken + 1) if taken else ()
+    taken = islice(graph_chunks(host, rows), 1, taken + 1) if host else ()
     lefts, rights = array("i"), array("i")  # per e line
     labeled, subsets = array("i"), []  # per rlabel line: its index and its subset field
     lines.pattern = _GRAPH_RUN

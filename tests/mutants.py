@@ -96,7 +96,7 @@ MUTANTS = [
     Mutant("k-and-n-minus-k-swapped", FORMATS,
            '''host, rows, taken = set_bipartite(n, k), [], 0''',
            '''host, rows, taken = set_bipartite(n, n - k), [], 0''',
-           "the chunks compared are those of B_{n,k}, k <= n/2"),
+           "the chunks compared are those of the arity being tried"),
     Mutant("graph-chunks-not-replayed", FORMATS,
            '''for line in chain(taken, [line] if line else (), lines):''',
            '''for line in chain([line] if line else (), lines):''',
@@ -119,9 +119,13 @@ MUTANTS = [
            '''if whole and not bits:''',
            '''if whole:''',
            "a coloring is taken whole only if no c line follows its chunks"),
+    Mutant("no-n-minus-k", FORMATS,
+           '''arities = dict.fromkeys((k, n - k))''',
+           '''arities = dict.fromkeys((k,))''',
+           "B_{n,k} with k > n/2 is taken too"),
     Mutant("any-count-a-candidate", FORMATS,
-           '''if not (k and count == right_count):''',
-           '''if not k:''',
+           '''dict.fromkeys((k, n - k)) if count == right_count else ()''',
+           '''dict.fromkeys((k, n - k))''',
            "B_{n,k}'s chunks are compared only under a header of C(n, k) rights"),
     Mutant("regular-starts-one-short", GRAPHS,
            '''starts = range(0, d * (graph.right_count + 1), d)''',
