@@ -51,7 +51,6 @@ from bipartite_ramsey.graphs import (  # noqa: E402
     set_graph_arity,
 )
 from bipartite_ramsey.hypergraph import _rank_table  # noqa: E402
-from bipartite_ramsey.subsets import SubsetSequence  # noqa: E402
 
 SETTINGS = hypothesis.settings(deadline=None)
 _BLOCK = 1 << 16
@@ -608,15 +607,6 @@ def test_the_writers_text_is_taken_whole(host, monkeypatch):
     if host.membership_arity:
         monkeypatch.setattr(formats, "set_graph_arity", generic)
         assert formats.graph_from_text(graph_text) == host
-
-
-@pytest.mark.parametrize("n, k", [(7, 4), (24, 19)])
-def test_the_writers_text_of_b_n_k_past_n_over_2_is_taken_whole(n, k, monkeypatch):
-    # rw embed writes B_{2c+1,c+1} for a pattern of one right; read edge by
-    # edge, its text costs several times the time and memory of comparing.
-    monkeypatch.setattr(formats, "set_graph_arity", None)
-    got = formats.graph_from_text(formats.graph_to_text(set_bipartite(n, k)))
-    assert got == set_bipartite(n, k) and type(got.right_labels) is SubsetSequence
 
 
 def test_a_run_under_a_wide_header_is_refused_without_its_subsets():
