@@ -36,16 +36,17 @@ Blank lines and lines starting with '#' are ignored everywhere.
 
 Every reader takes the text as a str or as an open text file and reads
 it once, in blocks of 64 KiB characters split exactly as str.splitlines
-splits, so a file is never held whole.  c, e, rlabel and sc lines come a
-run at a time (see _Lines): two or more lines as the writers emit them
-(one space between fields, numbers of up to ten ASCII digits, "\n"),
-split once and converted a column at a time (a left column one int() per
-distinct field).  Any other line goes to the line parser, the only place
-that refuses a line, with the message it would give with no runs.  An
-edge coloring is read into three columns (lefts, right indices, color
-bits), from which complete_coloring_from_text and set_coloring_from_text
-also infer the host; pack_coloring packs columns in mask bit order, or
-left by left as every writer lists edges, without a search per edge.
+splits, so a file is never held whole.  c, e and sc lines come a run at a
+time (see _Lines): two or more lines as the writers emit them (one space
+between fields, numbers of at most nine ASCII digits, "\n"), which the
+line parser reads to the same values.  A run is split once, converted a
+column at a time (a left column one int() per distinct field) and never
+read twice; an e run refuses its first index out of range as the line
+parser would.  Any other line goes to the line parser.  An edge coloring
+is read into three columns (lefts, right indices, color bits), from which
+complete_coloring_from_text and set_coloring_from_text also infer the
+host; pack_coloring packs columns in mask bit order, or left by left as
+every writer lists edges, without a search per edge.
 B_{n,k}'s subsets have one spelling, _subset_names: it writes rlabel and
 sc lines, and recognizes sc lines in lexicographic order, which are then
 the value table as read.  Every writer is a generator of chunks, one per
@@ -87,16 +88,16 @@ _SECTIONS = ("host", "coloring", "pattern", "witness")
 class _Lines:
     """The content lines of a str or an open text file: stripped, neither
     blank nor '#' comments, split exactly as str.splitlines splits.  A
-    parser may set pattern, a regex for two or more of its lines in the
-    writers' form, each ending in "\n": where it matches, the match comes
-    whole, a run with its line breaks (lines are stripped, so only a run
-    ends in one).  Elsewhere the reader goes on line by line, one line and
-    then twice as many characters before each next try.  A run the parser
-    sets as again comes next, line by line, for the line parser.  Between
-    two items a parser may take a chunk of text it expects (see take)."""
+    parser may set pattern, a regex for two or more of its c, e or sc lines
+    in the writers' form (numbers of at most nine digits, each line ending
+    in "\n"): where it matches, the match comes whole and once, a run with
+    its line breaks (lines are stripped, so only a run ends in one).
+    Elsewhere the reader goes on line by line, one line and then twice as
+    many characters before each next try.  Between two items a parser may
+    take a chunk of text it expects (see take)."""
 
     def __init__(self, source):
-        self.pattern = self.again = None
+        self.pattern = None
         if isinstance(source, str):
             self._blocks = (source[i : i + _BLOCK] for i in range(0, len(source), _BLOCK))
         else:
@@ -140,9 +141,6 @@ class _Lines:
             if run:
                 self._pos, self._size = run.end(), 1
                 yield run.group()
-                if self.again:
-                    yield from self._hand_out(self.again.splitlines(), self._text, self._pos)
-                    self.again = None
                 continue
             end = text.find("\n", pos + self._size) + 1  # 0 when no line ends past pos + size
             if end:
@@ -188,18 +186,11 @@ def _int(token, what):
         raise ValidationError(f"bad {what} {token!r}: expected an integer")
 
 
-def _column(tokens, high=_MAX_INDEX):
-    """array('i') of a run's integer fields, or None unless each is in
-    1..high: the run is then re-read line by line, for the line parser."""
-    values = list(map(int, tokens))
-    return array("i", values) if 1 <= min(values) and max(values) <= high else None
-
-
 def _left_column(tokens):
-    """_column for a run's lefts, few of them distinct: one int() each."""
+    """array('i') of a run's lefts, few of them distinct: one int() each."""
     ints = dict.fromkeys(tokens)
     ints.update(zip(ints, map(int, ints)))
-    return _column(ints.values()) and array("i", list(map(ints.__getitem__, tokens)))
+    return array("i", list(map(ints.__getitem__, tokens)))
 
 
 def _parse_subset(token):
@@ -285,11 +276,9 @@ def _spelled_set_graph(lines, n, right_count):
     return None, None, 0, False
 
 
-# Run patterns take numbers of ten digits at most: a longer one is out of
-# range in a column, or past int()'s limit, so its line parser has a say.
-_GRAPH_RUN = re.compile(
-    r"(?:e [0-9]{1,10} [0-9]{1,10}\n){2,}|(?:rlabel [0-9]{1,10} [0-9]{1,10}(?:,[0-9]{1,10})*\n){2,}"
-)
+# Run patterns take numbers of nine digits at most: each fits array("i"), and
+# int() reads it as its line parser does.  A longer one is for that parser.
+_GRAPH_RUN = re.compile(r"(?:e [0-9]{1,9} [0-9]{1,9}\n){2,}")
 
 
 def _read_graph(lines, sections=()):
@@ -297,7 +286,8 @@ def _read_graph(lines, sections=()):
     from content lines: the header, then rlabel and e lines, read into
     columns, up to one whose first word is in sections.  B_{n,k}'s chunks,
     where the header names it, are taken first; unless all are, and then
-    such a line or the end, they are read again, as runs."""
+    such a line or the end, they are read again: rlabel lines one by one,
+    each left's e lines as a run."""
     lines.pattern = None
     header = next(lines, "")
     if not header.startswith("bipartite"):
@@ -313,8 +303,9 @@ def _read_graph(lines, sections=()):
     if whole and (line is None or line.split()[0] in sections):
         return host, line, rows
     taken = islice(graph_chunks(host, rows), 1, taken + 1) if host else ()
+    taken = chain.from_iterable(c.splitlines() if c[0] == "r" else [c] for c in taken)
     lefts, rights = array("i"), array("i")  # per e line
-    labeled, subsets = array("i"), []  # per rlabel line: its index and its subset field
+    labeled, subsets = array("i"), []  # per rlabel line: its index and its subset
     lines.pattern = _GRAPH_RUN
     for line in chain(taken, [line] if line else (), lines):
         parts = line.split()
@@ -332,22 +323,14 @@ def _read_graph(lines, sections=()):
             if not 1 <= idx <= right_count:
                 raise ValidationError(f"rlabel index {idx} out of range")
             labeled.append(idx)
-            subsets.append(parts[2] if len(parts) == 3 else "")
-            if subsets[-1]:
-                _parse_subset(subsets[-1])  # refused here, in line order
-        elif line[-1] == "\n":  # a run of e lines or of rlabel lines, three fields each
-            if parts[0] == "e":
-                run = _left_column(parts[1::3]), _column(parts[2::3], right_count)
-            else:
-                run = _column(parts[1::3], right_count), parts[2::3]
-            if None in run:
-                lines.again = line
-            elif parts[0] == "e":
-                lefts += run[0]
-                rights += run[1]
-            else:
-                labeled += run[0]
-                subsets += run[1]
+            subsets.append(_parse_subset(parts[2]) if len(parts) == 3 else ())
+        elif line[-1] == "\n":  # a run of e lines, three fields each
+            run = array("i", list(map(int, parts[2::3])))
+            if min(run) < 1 or max(run) > right_count:  # the first such line's message
+                idx = next(i for i in run if not 1 <= i <= right_count)
+                raise ValidationError(f"edge right index {idx} out of range")
+            lefts += _left_column(parts[1::3])
+            rights += run
         elif parts[0] in sections:
             break
         else:
@@ -356,7 +339,7 @@ def _read_graph(lines, sections=()):
         line = None
     labels = list(range(1, right_count + 1))
     for idx, subset in zip(labeled, subsets):
-        labels[idx - 1] = _parse_subset(subset) if subset else ()
+        labels[idx - 1] = subset
     neighborhoods = [[] for _ in labels]  # lefts per right, as read
     for left, idx in zip(lefts, rights):
         neighborhoods[idx - 1].append(left)
@@ -407,7 +390,7 @@ def coloring_to_text(coloring):
 _BIT_OF_LETTER = {"R": 0, "B": 1}
 _BIT_OF_BYTE = bytes.maketrans(b"RB", b"\0\1")
 _NOT_A_LETTER = bytes(sorted({*range(256)} - {*b"RB"}))
-_C_RUN = re.compile(r"(?:c [0-9]{1,10} [0-9]{1,10} [RB]\n){2,}")
+_C_RUN = re.compile(r"(?:c [0-9]{1,9} [0-9]{1,9} [RB]\n){2,}")
 
 
 def _read_coloring(lines, sections=()):
@@ -422,12 +405,8 @@ def _read_coloring(lines, sections=()):
         parts = line.split()
         if len(parts) != 4 or parts[0] != "c":
             if line[-1] == "\n":  # a run of c lines, four fields each
-                run = _left_column(parts[1::4]), _column(parts[2::4])
-                if None in run:
-                    lines.again = line
-                    continue
-                lefts += run[0]
-                rights += run[1]
+                lefts += _left_column(parts[1::4])
+                rights += array("i", list(map(int, parts[2::4])))
                 bits += "".join(parts[3::4]).encode().translate(_BIT_OF_BYTE)
                 continue
             if parts[0] in sections:
@@ -553,7 +532,7 @@ def subset_coloring_from_text(source):
     return SubsetColoring(n, arity, palette, _subset_table(lines, n, arity))
 
 
-_SC_RUN = re.compile(r"(?:sc [0-9]{1,10}(?:,[0-9]{1,10})* [0-9]{1,10}\n){2,}")
+_SC_RUN = re.compile(r"(?:sc [0-9]{1,9}(?:,[0-9]{1,9})* [0-9]{1,9}\n){2,}")
 
 
 def _subset_table(lines, n, arity):

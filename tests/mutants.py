@@ -75,10 +75,6 @@ MUTANTS = [
            '''    if k < 1:
         yield from map(str, range(1, n + 1))''',
            "names of one element build no list of [n]"),
-    Mutant("left-range-first-key-only", FORMATS,
-           '''return _column(ints.values()) and''',
-           '''return _column(list(ints.values())[:1]) and''',
-           "every left in a run is checked to be in 1..2^31 - 1"),
     Mutant("taken-bits-not-dealt", FORMATS,
            '''bytes(_dealt(graph, [iter(row_bits) for _, row_bits in taken]))''',
            '''b"".join(row_bits for _, row_bits in taken)''',
@@ -100,7 +96,7 @@ MUTANTS = [
     Mutant("graph-chunks-not-replayed", FORMATS,
            '''for line in chain(taken, [line] if line else (), lines):''',
            '''for line in chain([line] if line else (), lines):''',
-           "graph chunks taken before the text departs are read as runs"),
+           "graph chunks taken before the text departs are read again"),
     Mutant("letters-not-masked", FORMATS,
            '''piece.replace("B", "R") if masked else piece''',
            '''piece''',
@@ -127,6 +123,65 @@ MUTANTS = [
            '''dict.fromkeys((k, n - k)) if count == right_count else ()''',
            '''dict.fromkeys((k, n - k))''',
            "B_{n,k}'s chunks are compared only under a header of C(n, k) rights"),
+    Mutant("run-fields-of-ten-digits", FORMATS,
+           '''c [0-9]{1,9} [0-9]{1,9} [RB]''',
+           '''c [0-9]{1,10} [0-9]{1,10} [RB]''',
+           "a c run's numbers fit array('i'): a longer one is for the line parser"),
+    Mutant("edge-run-fields-of-ten-digits", FORMATS,
+           '''(?:e [0-9]{1,9} [0-9]{1,9}''',
+           '''(?:e [0-9]{1,10} [0-9]{1,10}''',
+           "an e run's numbers fit array('i'): a longer one is for the line parser"),
+    Mutant("sc-run-fields-unbounded", FORMATS,
+           '''sc [0-9]{1,9}(?:,[0-9]{1,9})* [0-9]{1,9}''',
+           '''sc [0-9]+(?:,[0-9]+)* [0-9]+''',
+           "an sc run's numbers are inside int()'s digit limit"),
+    Mutant("run-colors-swapped", FORMATS,
+           '''_BIT_OF_BYTE = bytes.maketrans(b"RB", b"\\0\\1")''',
+           '''_BIT_OF_BYTE = bytes.maketrans(b"RB", b"\\1\\0")''',
+           "a run's R is color bit 0 and its B is 1"),
+    Mutant("edge-run-range-one-past", FORMATS,
+           '''max(run) > right_count:''',
+           '''max(run) > right_count + 1:''',
+           "an e run refuses a right index past the right count"),
+    Mutant("edge-run-names-a-later-index", FORMATS,
+           '''idx = next(i for i in run if''',
+           '''idx = next(i for i in reversed(run) if''',
+           "an e run names its first index out of range, as the line parser would"),
+    Mutant("rlabel-range-one-past", FORMATS,
+           '''"rlabel index")
+            if not 1 <= idx <= right_count:''',
+           '''"rlabel index")
+            if not 1 <= idx <= right_count + 1:''',
+           "an rlabel line refuses an index past the right count"),
+    Mutant("rlabel-kept-as-text", FORMATS,
+           '''subsets.append(_parse_subset(parts[2]) if len(parts) == 3 else ())''',
+           '''subsets.append(parts[2] if len(parts) == 3 else ())''',
+           "an rlabel line's subset is parsed, and refused in line order"),
+    Mutant("taken-rlabels-not-split", FORMATS,
+           '''    taken = chain.from_iterable(c.splitlines() if c[0] == "r" else [c] for c in taken)
+''',
+           '''''',
+           "rlabel chunks taken before the text departs are read again line by line"),
+    Mutant("sc-width-unchecked", FORMATS,
+           '''if {*map(str.count, names, repeat(","))} == {arity - 1}:''',
+           '''if True:''',
+           "an sc run's subsets are spelled only when each field has arity - 1 commas"),
+    Mutant("sc-run-names-unchecked", FORMATS,
+           '''if list(islice(spelled, len(names))) == names:''',
+           '''if list(islice(spelled, len(names))) or names:''',
+           "an sc run's values are taken only where it names the subsets in order"),
+    Mutant("sc-line-unchecked", FORMATS,
+           '''elif _format_label((pair := _subset_value(line))[0]) == next(spelled, None):''',
+           '''elif (pair := _subset_value(line)) and next(spelled, None) is not None:''',
+           "an sc line's value is taken only where it names the next subset"),
+    Mutant("certificate-rows-reversed", FORMATS,
+           '''rows[left] = _index_lines(row)''',
+           '''rows[left] = _index_lines(row[::-1])''',
+           "a certificate lists each left's rights increasing, as edge_rows does"),
+    Mutant("sc-count-unchecked", FORMATS,
+           '''if is_subset_count(len(values), n, arity):''',
+           '''if True:''',
+           "sc values taken in order are the table only at C(n, arity) of them"),
     Mutant("regular-starts-one-short", GRAPHS,
            '''starts = range(0, d * (graph.right_count + 1), d)''',
            '''starts = range(0, d * graph.right_count, d)''',
@@ -135,6 +190,42 @@ MUTANTS = [
            '''p = bisect_left(table, left, starts[index - 1], e)''',
            '''p = bisect_left(table, left, 0, e)''',
            "an edge is looked up among its own right's lefts"),
+    Mutant("packer-run-start-shifted", GRAPHS,
+           '''bisect_left(table, left, starts[index - 1], e)''',
+           '''bisect_left(table, left, starts[index - 1] + 1, e)''',
+           "an edge is looked up from its right's first left"),
+    Mutant("packer-starts-from-one", GRAPHS,
+           '''starts = list(accumulate(map(len, graph.neighborhoods), initial=0))''',
+           '''starts = list(accumulate(map(len, graph.neighborhoods), initial=1))''',
+           "the first right's edges start at 0"),
+    Mutant("packer-colored-twice-unchecked", GRAPHS,
+           '''if text[p] != 63 or color not in (0, 1):''',
+           '''if color not in (0, 1):''',
+           "an edge colored twice is refused"),
+    Mutant("packer-index-below-one", GRAPHS,
+           '''bad = p == e or table[p] != left or index < 1''',
+           '''bad = p == e or table[p] != left''',
+           "right index 0 names no edge"),
+    Mutant("packer-bits-length-unchecked", GRAPHS,
+           '''deal = len(digits) == len(lefts) and b"\\0" not in digits''',
+           '''deal = b"\\0" not in digits''',
+           "columns are dealt only with one color per edge"),
+    Mutant("packer-bits-not-checked", GRAPHS,
+           '''deal = len(digits) == len(lefts) and b"\\0" not in digits''',
+           '''deal = len(digits) == len(lefts)''',
+           "columns are dealt only when every color is 0 or 1"),
+    Mutant("mask-order-rights-unchecked", GRAPHS,
+           '''return (lambda column: column) if all(map(eq, rights, owners())) else None''',
+           '''return lambda column: column''',
+           "columns are mask bit order only if their rights are too"),
+    Mutant("dealt-rights-unchecked", GRAPHS,
+           '''dealt = all(starmap(eq, zip_longest(deal(rights), owners())))''',
+           '''dealt = True''',
+           "columns are dealt only when their rights deal to mask bit order"),
+    Mutant("mask-bit-past-degree", GRAPHS,
+           '''if graph.edge_count != graph._max_degree * len(masks) and any(''',
+           '''if False and any(''',
+           "a mask bit past its right's degree is refused"),
     Mutant("oracle-candidates-not-induced", GRAPHS,
            '''if adjacent & left_set == need''',
            '''if need <= adjacent''',
@@ -151,6 +242,22 @@ MUTANTS = [
            '''c = comb(n - v, k - t + 1)''',
            '''c = comb(n - v, k - t)''',
            "a prefix's rank sums add C(n - v, k - t + 1) for a vertex at position t - 1"),
+    Mutant("palette-one-dropped", HYPERGRAPH,
+           '''if palette == 1:  # its one coloring''',
+           '''if False:  # its one coloring''',
+           "a palette-1 question is answered before any count"),
+    Mutant("palette-one-widened", HYPERGRAPH,
+           '''if palette == 1:  # its one coloring''',
+           '''if palette <= 2:  # its one coloring''',
+           "only palette 1 is answered without a search"),
+    Mutant("estimate-shown-past-str-digits", HYPERGRAPH,
+           '''if estimate and estimate.bit_length() < 10_000 else ""''',
+           '''if estimate else ""''',
+           "an estimate past str()'s digit limit is named by formula"),
+    Mutant("usage-errors-reraised", CLI,
+           '''return EXIT_INPUT if exc.code == 2 else exc.code''',
+           '''raise''',
+           "a usage error exits 3, not argparse's 2"),
     Mutant("host-limit-off-by-one", CLI,
            '''if max(lefts, rights) > formats._MAX_INDEX:''',
            '''if max(lefts, rights) > formats._MAX_INDEX + 1:''',

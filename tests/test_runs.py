@@ -485,13 +485,21 @@ COLORING_52 = "".join(f"c {x} {i} R\n" for i, X in enumerate(set_bipartite(5, 2)
     ("coloring", "c 1 1 R\nc 0 2 B\nc 1 2 R\nc 2 1 R\n", complete_bipartite(2, 2)),
     ("set coloring", COLORING_52.replace("c 2 1 R", "c 2 1 B"), 2),
     ("set coloring", COLORING_52.replace("c 5 10 R", "c 5 11 R"), 2),
-    # an index one past the count, or 0, inside a run of e or rlabel lines
+    # an index one past the count, or 0, inside a run of e lines or among rlabel lines
     ("graph", formats.graph_to_text(set_bipartite(4, 2)).replace("\ne 4 6", "\ne 4 7"), None),
     ("graph", formats.graph_to_text(set_bipartite(4, 2)).replace("\ne 4 6", "\ne 4 0"), None),
     ("graph", formats.graph_to_text(set_bipartite(4, 2)).replace("rlabel 6 ", "rlabel 7 "), None),
     ("graph", formats.graph_to_text(set_bipartite(4, 2)).replace("rlabel 6 ", "rlabel 5 "), None),
     ("graph", formats.graph_to_text(set_bipartite(4, 2)).replace("\ne 1 1", "\ne 2147483648 1"), None),
     ("graph", "bipartite 2 2\nrlabel 1 1,x\nbogus\n", None),  # the first bad line speaks
+    ("graph", "bipartite 2 2\ne 1 3\ne 1 1\ne 2 5\nbogus\n", None),  # an e run's first bad index
+    # a ten-digit number, zero-padded or past 2^31 - 1, in what would be a run
+    ("coloring", "c 1 1 R\nc 1 0000000002 B\nc 2 1 R\nc 2 2 R\n", complete_bipartite(2, 2)),
+    ("graph", formats.graph_to_text(set_bipartite(4, 2)).replace("\ne 4 6", "\ne 4 0000000006"),
+     None),
+    ("graph", formats.graph_to_text(set_bipartite(4, 2)).replace("\ne 4 6", "\ne 4 0000000007"),
+     None),
+    ("graph", "bipartite 2 2\ne 1 1\ne 1 2\ne 2147483648 1\n", None),
     # B_{4,2}'s lines under a header of one right fewer or more than C(4, 2)
     ("graph", formats.graph_to_text(set_bipartite(4, 2)).replace(" 4 6\n", " 4 5\n", 1), None),
     ("graph", formats.graph_to_text(set_bipartite(4, 2)).replace(" 4 6\n", " 4 7\n", 1), None),

@@ -606,7 +606,7 @@ def test_pack_coloring_takes_both_writer_orders_without_a_bisect(monkeypatch):
                 continue
             lefts, rights, bits = columns(triples)
             for bad in (bits[:-1], bits[:-1] + b"\2"):  # one short, one not a color
-                with pytest.raises(ValidationError):
+                with pytest.raises(ValidationError, match="uncolored|not by a color"):
                     pack_coloring(graph, lefts, rights, bad)
 
 
