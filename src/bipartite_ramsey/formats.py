@@ -43,13 +43,14 @@ line parser reads to the same values.  A run is split once, converted a
 column at a time (a left column one int() per distinct field) and never
 read twice; an e run refuses its first index out of range as the line
 parser would.  Any other line goes to the line parser.  An edge coloring
-is read into three columns (lefts, right indices, color bits), from which
-complete_coloring_from_text and set_coloring_from_text also infer the
-host; pack_coloring packs columns in mask bit order, or left by left as
-every writer lists edges, without a search per edge.
+not compared is read into three columns (lefts, right indices, color
+bits), from which complete_coloring_from_text and set_coloring_from_text
+infer the host; pack_coloring packs columns in mask bit order, or left by
+left as every writer lists edges, without a search per edge.
 B_{n,k}'s subsets have one spelling, _subset_names: it writes rlabel and
-sc lines, and recognizes sc lines in lexicographic order, which are then
-the value table as read.  Every writer is a generator of chunks, one per
+sc lines, spells a coloring's rights to compare them right by right, and
+recognizes sc lines in lexicographic order, which are then the value
+table as read.  Every writer is a generator of chunks, one per
 left for edge lines (from BipartiteGraph.edge_rows, walked once for a
 certificate) and one per batch of lines otherwise; each *_to_text (and
 export_dot) is the join of its generator.
@@ -59,17 +60,21 @@ writer would write for it (_Lines.take), and takes each chunk the text
 spells whole, unparsed: in a certificate's coloring section after its
 host section, in coloring_from_text, and in graph text whose header gives
 C(n, k) rights (B_{n,k} or B_{n,n-k}, as the first rlabel chunk says).
-A c chunk is compared with its letters read as R, and the letters are
-then read out as bits and _dealt to mask bit order.  From the first chunk
-that differs, the section goes to the run and line parsers, the chunks
-taken standing in for their lines.  A certificate is read section by
+set_coloring_from_text learns its B_{n,k} from the opening lines, right
+by right (mask bit order) or left by left, and compares the rest in that
+order.  A c chunk (about _BATCH lines, or a whole larger left) is
+compared with its letters read as R, and the letters are then read out as
+bits, _dealt to mask bit order when taken left by left (_compared).  From the first chunk that differs,
+the section goes to the run and line parsers, the chunks taken re-spelled
+from the host as columns ahead of them.  A certificate is read section by
 section, its host's edge_rows text shared by its e and c chunks.
 """
 
 import re
 from array import array
 from functools import partial
-from itertools import chain, combinations, count, islice, repeat
+from itertools import accumulate, chain, combinations, count, islice, pairwise, repeat
+from math import comb
 
 from .constructions import complete_bipartite, set_bipartite
 from .errors import ParameterError, ValidationError
@@ -79,8 +84,8 @@ from .hypergraph import SubsetColoring, _rank_table
 from .subsets import SubsetSequence, is_subset_count
 
 _BLOCK = 1 << 16  # characters read at a time
-_BATCH = 4096  # lines per chunk where there is no left to chunk by
-_SPELL = 1 << 18  # most subset elements in a first rlabel chunk built to be compared
+_BATCH = 4096  # lines per batch, and about per c chunk compared
+_SPELL = 1 << 18  # most subset elements spelled for a first chunk compared
 _MAX_INDEX = (1 << 31) - 1  # vertex indices are 4-byte, as in array("i") columns and rows
 _SECTIONS = ("host", "coloring", "pattern", "witness")
 
@@ -173,10 +178,10 @@ def _blocks(file):
         raise ValidationError(f"{getattr(file, 'name', 'input')!r} is not {exc.encoding} text")
 
 
-def _batches(items):
-    """Lists of up to _BATCH consecutive items."""
+def _batches(items, size=_BATCH):
+    """Lists of up to size consecutive items."""
     items = iter(items)
-    return iter(lambda: list(islice(items, _BATCH)), [])
+    return iter(lambda: list(islice(items, size)), [])
 
 
 def _int(token, what):
@@ -393,15 +398,16 @@ _NOT_A_LETTER = bytes(sorted({*range(256)} - {*b"RB"}))
 _C_RUN = re.compile(r"(?:c [0-9]{1,9} [0-9]{1,9} [RB]\n){2,}")
 
 
-def _read_coloring(lines, sections=()):
+def _read_coloring(lines, sections=(), line=None):
     """((lefts, right indices, color bits), the line that ended them or
-    None): the c lines of an edge coloring as two array('i') columns and a
-    bytearray, up to a line whose first word is in sections."""
+    None): the c lines of an edge coloring, line first if given, as two
+    array('i') columns and a bytearray, up to a line whose first word is in
+    sections."""
     lefts, rights, bits = array("i"), array("i"), bytearray()
     add_left, add_right, add_bit = lefts.append, rights.append, bits.append
     lines.pattern = _C_RUN
     # Fields are converted inline, not through _int: files run to 10^6+ lines.
-    for line in lines:
+    for line in chain([line] if line else (), lines):
         parts = line.split()
         if len(parts) != 4 or parts[0] != "c":
             if line[-1] == "\n":  # a run of c lines, four fields each
@@ -423,32 +429,96 @@ def _read_coloring(lines, sections=()):
     return (lefts, rights, bits), None
 
 
-def _read_colors(lines, graph, rows, sections=()):
-    """(a function that packs the coloring of graph read, the line that
-    ended it or None), given graph's _edge_texts rows: each left's c lines
-    as coloring_chunks writes them, taken while the text spells them, then
-    what _read_coloring reads, the lefts taken ahead as columns."""
-    taken, whole = [], True  # each left's rights text and color bits
-    for left, text in enumerate(rows):
-        sep = f" R\nc {left} "
-        got = text and lines.take(sep[3:] + text.replace("\n", sep) + " R\n", masked=True)
-        if got is None:
-            whole = False
-            break
-        taken.append((text, got.encode().translate(_BIT_OF_BYTE, _NOT_A_LETTER)))
-    (lefts, rights, bits), line = _read_coloring(lines, sections)
-    if whole and not bits:
-        digits = bytes(_dealt(graph, [iter(row_bits) for _, row_bits in taken])).translate(_DIGIT)
-        return partial(_packed, graph, digits), line
-    lefts[:0] = array("i", chain.from_iterable(map(repeat, count(), (len(b) for _, b in taken))))
-    rights[:0] = array("i", map(int, chain.from_iterable(text.split() for text, _ in taken)))
-    bits[:0] = b"".join(row_bits for _, row_bits in taken)
-    return partial(pack_coloring, graph, lefts, rights, bits), line
+def _taken(lines, chunks, got):
+    """Whether the text spells every chunk, letters read as R: each chunk it
+    spells is taken, up to the first it does not, its color bits to got."""
+    for chunk in chunks:
+        text = lines.take(chunk, masked=True)
+        if text is None:
+            return False
+        got.append(text.encode().translate(_BIT_OF_BYTE, _NOT_A_LETTER))
+    return True
+
+
+def _opening(lines, spell, got):
+    """How many units of an endless sequence the text spells, each taken,
+    where spell(a, b) spells units a..b-1: a chunk of them doubles while the
+    text spells it, then halves."""
+    taken, size = 0, 1
+    while _taken(lines, [spell(taken + 1, taken + size + 1)], got):
+        taken, size = taken + size, 2 * size
+    while size > 1:
+        size //= 2
+        if _taken(lines, [spell(taken + 1, taken + size + 1)], got):
+            taken += size
+    return taken
+
+
+def _left_chunks(rows, sizes):
+    """Lefts' c lines as coloring_chunks writes them, letters R, from left
+    len(sizes) on, given each one's right indices in rows, as an array or
+    as their _index_lines text, dropped from rows once spelled: at least
+    _BATCH lines a chunk but the last, small lefts joined whole and an array
+    cut every _BATCH indices.  Each left's line count goes to sizes."""
+    parts, size = [], 0
+    for left in range(len(sizes), len(rows)):
+        row, rows[left], sep = rows[left], None, f" R\nc {left} "
+        texts = [row] if type(row) is str else [
+            _index_lines(row[i : i + _BATCH]) for i in range(0, len(row), _BATCH)]
+        sizes.append(0)
+        for text in texts:
+            parts.append(sep[3:] + text.replace("\n", sep) + " R\n" if text else "")
+            added = parts[-1].count("\n")
+            sizes[-1], size = sizes[-1] + added, size + added
+            if size >= _BATCH:
+                yield "".join(parts)
+                parts, size = [], 0
+    yield "".join(parts)
+
+
+def _compared(lines, graph, chunks, got, respelled, sizes=None, sections=()):
+    """(graph's digits for _packed, None, the line after the chunks or None)
+    when the text spells every chunk (_taken; none for no graph) and no c
+    line follows them; else (None, every c line's columns, the line that
+    ended them or None): the chunks taken, respelled(edges) giving their
+    lefts and right indices, then what _read_coloring reads.  Chunks are in
+    mask bit order, or left by left with sizes[left] lines each."""
+    whole = graph is not None and _taken(lines, chunks, got)
+    bits, lines.pattern = b"".join(got), None
+    got.clear()  # the bits are held once
+    line = next(lines, None)
+    if whole and (line is None or line.split()[0] in sections):
+        digits = bits.translate(_DIGIT)
+        if sizes is not None:
+            view, spans = memoryview(digits), pairwise(accumulate(sizes, initial=0))
+            digits = bytes(_dealt(graph, [iter(view[a:b]) for a, b in spans]))
+        return digits, None, line
+    columns, line = _read_coloring(lines, sections, line)
+    for column, ahead in zip(columns, (*respelled(len(bits)), bits)):
+        column[:0] = ahead
+    return None, columns, line
+
+
+def _columns(groups, edges, first):
+    """array('i') columns of the first edges of groups: each group's index,
+    counted from first, once per item of it, and its items."""
+    owners = chain.from_iterable(map(repeat, count(first), map(len, groups)))
+    return array("i", islice(owners, edges)), array("i", islice(chain.from_iterable(groups), edges))
+
+
+def _read_colors(lines, graph, rows=None, sections=()):
+    """(a function that packs graph's coloring as read, the line that ended
+    it or None): _compared with graph's c lines left by left, given each
+    left's rights as _left_chunks takes them (by default from edge_rows)."""
+    sizes = []
+    digits, columns, line = _compared(
+        lines, graph, _left_chunks(rows or graph.edge_rows()[0], sizes), [],
+        lambda edges: _columns(graph.edge_rows()[0], edges, 0), sizes, sections)
+    return partial(pack_coloring, graph, *columns) if columns else partial(_packed, graph, digits), line
 
 
 def coloring_from_text(source, graph):
-    rows = map(_index_lines, graph.edge_rows()[0])
-    return _read_colors(_Lines(source), graph, rows)[0]()  # validates totality
+    return _read_colors(_Lines(source), graph)[0]()  # validates totality
 
 
 def infer_complete_host(source):
@@ -485,9 +555,34 @@ def infer_set_host(source, k):
 
 
 def set_coloring_from_text(source, k):
-    """The coloring of B_{n,k} in a total coloring file, parsed in one pass."""
-    columns, _ = _read_coloring(_Lines(source))
-    return pack_coloring(_set_host(columns[0], k), *columns)
+    """The coloring of B_{n,k} in a total coloring file.  Its opening lines,
+    compared with what every B_{N,k} spells (_opening), give n: the rights
+    {1..k-1, x}, x = k..n, right by right in mask bit order, or left 1's
+    C(n-1, k-1) lines, left by left as the writers list them.  B_{n,k}'s
+    later chunks in that order are then compared; from the first that
+    differs, the host is inferred from every line's columns (_compared)."""
+    lines, got, sizes, host, t = _Lines(source), [], None, None, 1 <= k <= _SPELL
+    t = t and _opening(lines, lambda a, b: "".join(
+        [f"c {x} {i} R\n" for i in range(a, b) for x in (*range(1, k), k - 1 + i)]), got)
+    if t:  # right by right: the other rights from their names, _BATCH lines a chunk
+        n = k - 1 + t
+        host, names = set_bipartite(n, k), islice(_subset_names(n, k), t, None)
+        spelled = ("c " + name.replace(",", sep) + sep[:-2]
+                   for i, name in enumerate(names, t + 1) for sep in [f" {i} R\nc "])
+        chunks = map("".join, _batches(spelled, max(1, _BATCH // k)))
+        respelled = lambda edges: _columns(host.neighborhoods, edges, 1)[::-1]
+    else:  # left by left: left 1's lines are rights 1..C(n-1, k-1), then the other lefts
+        t = 1 < k <= _SPELL and _opening(
+            lines, lambda a, b: "".join([f"c 1 {i} R\n" for i in range(a, b)]), got)
+        n = next(m for m in count(k) if comb(m - 1, k - 1) >= t) if t else 0
+        host = set_bipartite(n, k) if t and comb(n - 1, k - 1) == t else None
+        rows, sizes = host.edge_rows()[0] if host else [(), range(1, t + 1)], [0, t]
+        chunks = _left_chunks(rows, sizes)
+        respelled = lambda edges: _columns(host.edge_rows()[0] if host else rows, edges, 0)
+    digits, columns, _ = _compared(lines, host, chunks, got, respelled, sizes)
+    if columns:
+        return pack_coloring(_set_host(columns[0], k), *columns)
+    return _packed(host, digits)
 
 
 def _set_host(lefts, k):
@@ -642,9 +737,7 @@ def certificate_from_text(source):
         if first in sections:
             raise ValidationError(f"duplicate certificate section {first!r}")
         if first == "coloring" and "host" in sections:
-            host = sections["host"]
-            rows = rows or map(_index_lines, host.edge_rows()[0])
-            sections[first], line = _read_colors(lines, host, rows, _SECTIONS)
+            sections[first], line = _read_colors(lines, sections["host"], rows, _SECTIONS)
         elif first == "coloring":  # packed once the host is read
             columns, line = _read_coloring(lines, _SECTIONS)
             sections[first] = lambda: pack_coloring(sections["host"], *columns)

@@ -76,19 +76,58 @@ MUTANTS = [
         yield from map(str, range(1, n + 1))''',
            "names of one element build no list of [n]"),
     Mutant("taken-bits-not-dealt", FORMATS,
-           '''bytes(_dealt(graph, [iter(row_bits) for _, row_bits in taken]))''',
-           '''b"".join(row_bits for _, row_bits in taken)''',
+           '''digits = bytes(_dealt(graph, [iter(view[a:b]) for a, b in spans]))''',
+           '''digits = bytes(view)''',
            "colors taken left by left go to mask bit order"),
+    Mutant("left-sizes-one-short", FORMATS,
+           '''sizes[-1], size = sizes[-1] + added, size + added''',
+           '''sizes[-1], size = sizes[-1] + added - (added > 1), size + added''',
+           "each left's colors are dealt from its own stretch of the bits taken"),
     Mutant("comparison-ignores-last-character", FORMATS,
            '''while chunk.startswith(piece.replace("B", "R") if masked else piece, seen):''',
            '''while chunk[:-1].startswith((piece.replace("B", "R") if masked else piece)'''
            '''[: len(chunk) - 1 - seen], seen):''',
            "a chunk is taken only where the text spells all of it"),
     Mutant("fallback-drops-taken-columns", FORMATS,
-           '''    rights[:0] = array("i", map(int, chain.from_iterable(text.split() for text, _ in taken)))
-    bits[:0] = b"".join(row_bits for _, row_bits in taken)''',
-           '''    pass''',
-           "the lefts taken before the text departs stand in for their columns"),
+           '''        column[:0] = ahead''',
+           '''        pass''',
+           "the chunks taken before the text departs stand in for their columns"),
+    Mutant("fallback-repeats-taken-columns", FORMATS,
+           '''        column[:0] = ahead''',
+           '''        column[:0] = ahead * 2''',
+           "the chunks taken before the text departs stand in once"),
+    Mutant("taken-rights-respelled-one-short", FORMATS,
+           '''_columns(host.neighborhoods, edges, 1)[::-1]''',
+           '''_columns(host.neighborhoods, max(edges - k, 0), 1)[::-1]''',
+           "every right taken before the text departs is re-spelled"),
+    Mutant("learned-n-one-high", FORMATS,
+           '''        n = k - 1 + t''',
+           '''        n = k + t''',
+           "right by right, the opening rights {1..k-1, x} end at x = n"),
+    Mutant("learned-n-one-low", FORMATS,
+           '''        n = k - 1 + t''',
+           '''        n = max(k - 2 + t, k)''',
+           "right by right, the opening rights {1..k-1, x} end at x = n"),
+    Mutant("learned-left-n-one-high", FORMATS,
+           '''host = set_bipartite(n, k) if t and comb(n - 1, k - 1) == t else None''',
+           '''host = set_bipartite(n + 1, k) if t and comb(n - 1, k - 1) == t else None''',
+           "left by left, left 1's C(n-1, k-1) lines give n"),
+    Mutant("learned-left-n-one-low", FORMATS,
+           '''host = set_bipartite(n, k) if t and comb(n - 1, k - 1) == t else None''',
+           '''host = set_bipartite(max(n - 1, k), k) if t and comb(n - 1, k - 1) == t else None''',
+           "left by left, left 1's C(n-1, k-1) lines give n"),
+    Mutant("right-speller-one-rank-off", FORMATS,
+           '''islice(_subset_names(n, k), t, None)''',
+           '''islice(_subset_names(n, k), t + 1, None)''',
+           "right by right, right i is spelled from the subset of rank i - 1"),
+    Mutant("taken-chunks-compared-unmasked", FORMATS,
+           '''text = lines.take(chunk, masked=True)''',
+           '''text = lines.take(chunk)''',
+           "a c chunk is compared with its letters read as R"),
+    Mutant("taken-letters-unfiltered", FORMATS,
+           '''got.append(text.encode().translate(_BIT_OF_BYTE, _NOT_A_LETTER))''',
+           '''got.append(text.encode().translate(_BIT_OF_BYTE))''',
+           "only the letters of a chunk taken are its color bits"),
     Mutant("k-and-n-minus-k-swapped", FORMATS,
            '''host, rows, taken = set_bipartite(n, k), [], 0''',
            '''host, rows, taken = set_bipartite(n, n - k), [], 0''',
@@ -108,13 +147,17 @@ MUTANTS = [
             pos = 0''',
            "a chunk is compared from the line after the last item"),
     Mutant("whole-graph-past-a-line", FORMATS,
-           '''(line is None or line.split()[0] in sections)''',
-           '''(line is None or line.split()[0] in sections or line[0] == "e")''',
+           '''(line is None or line.split()[0] in sections):
+        return host, line, rows''',
+           '''(line is None or line.split()[0] in sections or line[0] == "e"):
+        return host, line, rows''',
            "a graph is B_{n,k} only if no line follows its chunks"),
-    Mutant("whole-coloring-past-a-line", FORMATS,
-           '''if whole and not bits:''',
-           '''if whole:''',
-           "a coloring is taken whole only if no c line follows its chunks"),
+    Mutant("text-past-the-last-chunk-accepted", FORMATS,
+           '''(line is None or line.split()[0] in sections):
+        digits = bits.translate(_DIGIT)''',
+           '''(line is None or line.split()[0] in sections or line[0] == "c"):
+        digits = bits.translate(_DIGIT)''',
+           "a coloring is taken whole only if no c line follows its last chunk"),
     Mutant("no-n-minus-k", FORMATS,
            '''arities = dict.fromkeys((k, n - k))''',
            '''arities = dict.fromkeys((k,))''',

@@ -301,6 +301,32 @@ def test_extract_induced_reads_find_homogeneous_output_verbatim(tmp_path):
     assert witness.host_left == (2, 4, 6, 8)
 
 
+def test_set_graph_commands_read_either_edge_order_alike(tmp_path):
+    """derive-coloring, extract-induced and find-induced write the same
+    bytes and exit alike whether a B_{n,5} coloring lists its edges left by
+    left, right by right (mask bit order), or right by right with its last
+    two lines swapped, which departs from what the reader compares."""
+    host = set_bipartite(20, 5)
+    coloring = position_rule_coloring(host, RED, (1, 2, 4))
+    by_right = [f"c {x} {i} {'RB'[coloring.masks[i - 1] >> p & 1]}"
+                for i, subset in enumerate(host.right_labels, 1) for p, x in enumerate(subset)]
+    texts = [coloring_to_text(coloring), "\n".join(by_right) + "\n",
+             "\n".join(by_right[:-2] + by_right[:-3:-1]) + "\n"]
+    pattern = write(tmp_path / "pattern.txt", "bipartite 2 2\ne 1 1\ne 2 2\n")
+    members = write(tmp_path / "hom.txt", " ".join(map(str, range(1, 21))))
+    results = []
+    for number, text in enumerate(texts):
+        colfile, result = write(tmp_path / f"col{number}.txt", text), []
+        for argv in (["derive-coloring", colfile, "--b", "3"],
+                     ["extract-induced", colfile, "--a", "6", "--b", "3", "--homogeneous", members],
+                     ["find-induced", pattern, colfile]):
+            out = tmp_path / f"{argv[0]}{number}.txt"
+            result.append((main([*argv, "-o", str(out)]), out.read_bytes()))
+        results.append(result)
+    assert results[0] == results[1] == results[2]
+    assert [code for code, _ in results[0]] == [0, 0, 0]
+
+
 INPUT = "<the input file>"  # stands for the case's own file in a later argument
 SHORT_OF_N = {
     "derive-short-of-n": (["derive-coloring", "--b", "100000"], "c 2147483647 1 R\n"),

@@ -617,6 +617,80 @@ def test_the_writers_text_is_taken_whole(host, monkeypatch):
         assert formats.graph_from_text(graph_text) == host
 
 
+def set_coloring_lines(coloring, order):
+    """A coloring's c lines right by right (mask bit order) or left by left
+    (as the writers list them)."""
+    if order == "right by right":
+        return mask_order_lines(coloring.graph, coloring, "c")
+    return formats.coloring_to_text(coloring).splitlines()
+
+
+def opening_and_chunk(host, order, batch):
+    """(the lines the reader learns n from, the lines of the first chunk
+    after them) for B_{n,k} in that order when _BATCH is batch."""
+    n, k = host.left_count, host.right_labels.k
+    if order == "right by right":  # rights {1..k-1, x}, then batches of rights
+        return (n - k + 1) * k, max(1, batch // k) * k
+    degree = comb(n - 1, k - 1)  # left 1's lines, then a left's first batch, or whole lefts
+    return degree, batch if degree >= batch else -(-batch // degree) * degree
+
+
+DEPARTURES = {
+    "swap": lambda lines, at: lines[:at] + lines[at + 1 : at + 2] + [lines[at]] + lines[at + 2 :],
+    "drop": lambda lines, at: lines[:at] + lines[at + 1 :],
+    "repeat": lambda lines, at: lines[: at + 1] + lines[at:],
+    "letter": lambda lines, at: lines[:at] + [lines[at][:-1] + "G"] + lines[at + 1 :],
+    "comment": lambda lines, at: lines[:at] + ["# here"] + lines[at:],
+    "digit": lambda lines, at: lines[:at] + [lines[at].replace(" ", " 0", 1)] + lines[at + 1 :],
+}
+LEARNED = [(set_bipartite(7, 3), 8), (set_bipartite(6, 2), 4), (set_bipartite(6, 1), 2),
+           (set_bipartite(4, 4), 2), (set_bipartite(5, 5), 1 << 12), (set_bipartite(9, 3), 64)]
+
+
+@pytest.mark.parametrize("order", ["right by right", "left by left"])
+@pytest.mark.parametrize("host, batch", LEARNED)
+def test_learned_set_colorings_that_depart_read_as_the_reference_reads(host, batch, order,
+                                                                       monkeypatch):
+    """A departure inside the lines n is learned from, at the first chunk
+    compared, on each side of a chunk boundary and in the last chunk; one
+    right short; a c line after the last right: k = 1 and k = n too."""
+    monkeypatch.setattr(formats, "_BATCH", batch)
+    lines = set_coloring_lines(random_coloring(host, random.Random(3)), order)
+    k = host.right_labels.k
+    opening, chunk = opening_and_chunk(host, order, batch)
+    spots = {1, opening - 1, opening, opening + chunk - 1, opening + chunk, len(lines) - 2,
+             len(lines) - 1}
+    texts = [change(lines, at) for change in DEPARTURES.values() for at in spots
+             if 0 <= at < len(lines)]
+    short = [line for line in lines if line.split()[2] != str(host.right_count)]
+    texts += [short, lines + ["c 1 1 R"], lines + [lines[-1]], lines]
+    new, reference = READERS["set coloring"]
+    for text in ("\n".join(text) + "\n" for text in texts):
+        expected = outcome(reference, text, k)
+        for block in BLOCKS:
+            with block_size(block):
+                assert outcome(new, text, k) == expected, (block, text)
+
+
+@pytest.mark.parametrize("order", ["right by right", "left by left"])
+@pytest.mark.parametrize("host", [set_bipartite(24, 5), set_bipartite(7, 3), set_bipartite(6, 1),
+                                  set_bipartite(4, 4), set_bipartite(9, 2)])
+def test_a_set_coloring_in_either_order_is_taken_whole(host, order, monkeypatch):
+    """B_{n,k}'s coloring, right by right or left by left, is read without
+    a line parsed: n is learned from its opening lines, and every later
+    chunk is compared."""
+    coloring = random_coloring(host, random.Random(5))
+    text = "\n".join(set_coloring_lines(coloring, order)) + "\n"
+
+    def generic(*args):
+        raise AssertionError("read line by line")
+
+    monkeypatch.setattr(formats, "_read_coloring", generic)
+    monkeypatch.setattr(formats, "pack_coloring", generic)
+    got = formats.set_coloring_from_text(text, host.right_labels.k)
+    assert got == coloring
+
+
 def test_a_run_under_a_wide_header_is_refused_without_its_subsets():
     # One element a line: no 60000-subset of [65536] is spelled for them.
     text = "subsetcoloring 65536 60000 2\n" + "".join(f"sc {i} 1\n" for i in range(1, 3000))
