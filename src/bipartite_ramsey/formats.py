@@ -36,38 +36,32 @@ Blank lines and lines starting with '#' are ignored everywhere.
 
 Every reader takes the text as a str or as an open text file and reads
 it once, in blocks of 64 KiB characters split exactly as str.splitlines
-splits, so a file is never held whole.  c, e and sc lines come a run at a
-time (see _Lines): two or more lines as the writers emit them (one space
-between fields, numbers of at most nine ASCII digits, "\n"), which the
-line parser reads to the same values.  A run is split once, converted a
-column at a time (a left column one int() per distinct field) and never
-read twice; an e run refuses its first index out of range as the line
-parser would.  Any other line goes to the line parser.  An edge coloring
-not compared is read into three columns (lefts, right indices, color
-bits), from which complete_coloring_from_text and set_coloring_from_text
-infer the host; pack_coloring packs columns in mask bit order, or left by
-left as every writer lists edges, without a search per edge.
-B_{n,k}'s subsets have one spelling, _subset_names: it writes rlabel and
-sc lines, spells a coloring's rights to compare them right by right, and
-recognizes sc lines in lexicographic order, which are then the value
-table as read.  Every writer is a generator of chunks, one per
-left for edge lines (from BipartiteGraph.edge_rows, walked once for a
-certificate) and one per batch of lines otherwise; each *_to_text (and
-export_dot) is the join of its generator.
+splits, so a file is never held whole.  Every writer is a generator of
+chunks, one per left for edge lines (from BipartiteGraph.edge_rows,
+walked once for a certificate) and one per batch of lines otherwise;
+each *_to_text (and export_dot) is the join of its generator.  B_{n,k}'s
+subsets have one spelling, _subset_names, for rlabel and sc lines.
 
-A reader that knows its host compares the text with the chunks the
-writer would write for it (_Lines.take), and takes each chunk the text
-spells whole, unparsed: in a certificate's coloring section after its
-host section, in coloring_from_text, and in graph text whose header gives
-C(n, k) rights (B_{n,k} or B_{n,n-k}, as the first rlabel chunk says).
-set_coloring_from_text learns its B_{n,k} from the opening lines, right
-by right (mask bit order) or left by left, and compares the rest in that
-order.  A c chunk (about _BATCH lines, or a whole larger left) is
-compared with its letters read as R, and the letters are then read out as
-bits, _dealt to mask bit order when taken left by left (_compared).  From the first chunk that differs,
-the section goes to the run and line parsers, the chunks taken re-spelled
-from the host as columns ahead of them.  A certificate is read section by
-section, its host's edge_rows text shared by its e and c chunks.
+A reader compares the text with the chunks the writer would write
+(_Lines.take), and takes each chunk the text spells whole, unparsed:
+where it knows the host (a certificate's coloring section after its host
+section, coloring_from_text), in graph text whose header names B_{n,k}
+(C(n, k) rights: B_{n,k} or B_{n,n-k}, as the first rlabel chunk says)
+or K_{n,m}, and in colorings whose host it learns from their opening
+lines (_opening): set_coloring_from_text's B_{n,k}, right by right (mask
+bit order) or left by left, and complete_coloring_from_text's K_{n,k},
+from left 1 and the lefts after it.  A c chunk is compared with its
+letters read as R, which are then read out as bits, _dealt to mask bit
+order when taken left by left (_compared).  From the first chunk that
+differs, the section goes to the line parser, the chunks taken
+re-spelled from the host (as columns, for a coloring) ahead of it; a
+coloring not compared is three columns (lefts, right indices, color
+bits), from which the host may be inferred, packed by pack_coloring.
+A certificate is read section by section, its host's rows shared by its
+e and c chunks.
+An sc file's values cannot be spelled: its lines come a run at a time
+(see _Lines), taken as the value table while they name the subsets in
+lexicographic order.
 """
 
 import re
@@ -84,7 +78,7 @@ from .hypergraph import SubsetColoring, _rank_table
 from .subsets import SubsetSequence, is_subset_count
 
 _BLOCK = 1 << 16  # characters read at a time
-_BATCH = 4096  # lines per batch, and about per c chunk compared
+_BATCH = 4096  # lines per batch, and about per chunk compared
 _SPELL = 1 << 18  # most subset elements spelled for a first chunk compared
 _MAX_INDEX = (1 << 31) - 1  # vertex indices are 4-byte, as in array("i") columns and rows
 _SECTIONS = ("host", "coloring", "pattern", "witness")
@@ -92,11 +86,11 @@ _SECTIONS = ("host", "coloring", "pattern", "witness")
 
 class _Lines:
     """The content lines of a str or an open text file: stripped, neither
-    blank nor '#' comments, split exactly as str.splitlines splits.  A
-    parser may set pattern, a regex for two or more of its c, e or sc lines
-    in the writers' form (numbers of at most nine digits, each line ending
-    in "\n"): where it matches, the match comes whole and once, a run with
-    its line breaks (lines are stripped, so only a run ends in one).
+    blank nor '#' comments, split exactly as str.splitlines splits.
+    _subset_table may set pattern, a regex for two or more sc lines in the
+    writer's form (numbers of at most nine digits, each line ending in
+    "\n"): where it matches, the match comes whole and once, a run with its
+    line breaks (lines are stripped, so only a run ends in one).
     Elsewhere the reader goes on line by line, one line and then twice as
     many characters before each next try.  Between two items a parser may
     take a chunk of text it expects (see take)."""
@@ -191,13 +185,6 @@ def _int(token, what):
         raise ValidationError(f"bad {what} {token!r}: expected an integer")
 
 
-def _left_column(tokens):
-    """array('i') of a run's lefts, few of them distinct: one int() each."""
-    ints = dict.fromkeys(tokens)
-    ints.update(zip(ints, map(int, ints)))
-    return array("i", list(map(ints.__getitem__, tokens)))
-
-
 def _parse_subset(token):
     try:
         return tuple(map(int, token.split(",")))
@@ -259,41 +246,51 @@ def graph_from_text(source):
     return _read_graph(_Lines(source))[0]
 
 
-def _spelled_set_graph(lines, n, right_count):
-    """(B_{n,k}, its _kept rows, how many of the chunks graph_chunks writes
-    for it after the header lines takes, whether that is all of them), for
-    k, then n - k, with C(n, k) = right_count, the first whose first chunk
-    lines takes and holds at most _SPELL subset elements; else no host."""
+def _spelled_graph(lines, n, right_count):
+    """(a function of a line giving (graph, line, _edge_texts rows), the
+    chunks after the header lines that lines takes, spelled again, whether
+    that is all of them) for the first candidate whose first such chunk
+    lines takes: B_{n,k} for k, then n - k, with C(n, k) = right_count and
+    at most _SPELL subset elements in that chunk; then K_{n,right_count}
+    for 1 <= right_count <= _SPELL, built only when asked for, its lefts
+    about _BATCH lines a chunk.  Else (None, (), False)."""
     k, count = 0, 1  # count is C(n, k)
     while 2 * k < n and count < right_count:
         k, count = k + 1, count * (n - k) // (k + 1)
     arities = dict.fromkeys((k, n - k)) if count == right_count else ()
     for k in (j for j in arities if j and j * min(right_count, _BATCH) <= _SPELL):
-        host, rows, taken = set_bipartite(n, k), [], 0
-        for chunk in islice(graph_chunks(host, _kept(rows, host)), 1, None):
-            if not lines.take(chunk):
-                break
-            taken += 1
-        else:
-            return host, rows, taken, True
+        host, rows = set_bipartite(n, k), []
+        taken, whole = _took(lines, islice(graph_chunks(host, _kept(rows, host)), 1, None))
         if taken:
-            return host, rows, taken, False
-    return None, None, 0, False
+            return (lambda line: (host, line, rows),
+                    islice(graph_chunks(host, rows), 1, taken + 1), whole)
+    if not (1 <= right_count <= _SPELL and n):
+        return None, (), False
+    row = _index_lines(range(1, right_count + 1))  # every left's right indices
+    chunks = lambda: map("".join, _batches(  # each left's e lines, as graph_chunks writes them
+        (f"e {x} " + row.replace("\n", f"\ne {x} ") + "\n" for x in range(1, n + 1)),
+        max(1, _BATCH // right_count)))
+    taken, whole = _took(lines, chunks())
+    return (lambda line: (complete_bipartite(n, right_count), line, ["", *repeat(row, n)]),
+            islice(chunks(), taken), whole)
 
 
-# Run patterns take numbers of nine digits at most: each fits array("i"), and
-# int() reads it as its line parser does.  A longer one is for that parser.
-_GRAPH_RUN = re.compile(r"(?:e [0-9]{1,9} [0-9]{1,9}\n){2,}")
+def _took(lines, chunks):
+    """(how many of chunks lines takes, up to the first it does not, whether that is all)."""
+    taken = 0
+    for taken, chunk in enumerate(chunks, 1):
+        if not lines.take(chunk):
+            return taken - 1, False
+    return taken, True
 
 
 def _read_graph(lines, sections=()):
     """(graph, the line that ended it or None, its _edge_texts rows or None)
     from content lines: the header, then rlabel and e lines, read into
-    columns, up to one whose first word is in sections.  B_{n,k}'s chunks,
-    where the header names it, are taken first; unless all are, and then
-    such a line or the end, they are read again: rlabel lines one by one,
-    each left's e lines as a run."""
-    lines.pattern = None
+    columns, up to one whose first word is in sections.  The chunks of
+    B_{n,k} or K_{n,m}, where the header names it, are taken first; unless
+    all are, and then such a line or the end, they are read again line by
+    line."""
     header = next(lines, "")
     if not header.startswith("bipartite"):
         raise ValidationError("graph text must start with a 'bipartite' header")
@@ -303,15 +300,13 @@ def _read_graph(lines, sections=()):
     left_count, right_count = _int(fields[1], "left count"), _int(fields[2], "right count")
     if not (0 <= left_count <= _MAX_INDEX and 0 <= right_count <= _MAX_INDEX):
         raise ValidationError(f"bad graph header {header!r}: counts must be 0..{_MAX_INDEX}")
-    host, rows, taken, whole = _spelled_set_graph(lines, left_count, right_count)
-    line = host and next(lines, None)
+    built, taken, whole = _spelled_graph(lines, left_count, right_count)
+    line = next(lines, None) if whole else None
     if whole and (line is None or line.split()[0] in sections):
-        return host, line, rows
-    taken = islice(graph_chunks(host, rows), 1, taken + 1) if host else ()
-    taken = chain.from_iterable(c.splitlines() if c[0] == "r" else [c] for c in taken)
+        return built(line)
+    taken = chain.from_iterable(map(str.splitlines, taken))  # replayed line by line
     lefts, rights = array("i"), array("i")  # per e line
     labeled, subsets = array("i"), []  # per rlabel line: its index and its subset
-    lines.pattern = _GRAPH_RUN
     for line in chain(taken, [line] if line else (), lines):
         parts = line.split()
         if parts[0] == "e" and len(parts) == 3:
@@ -329,13 +324,6 @@ def _read_graph(lines, sections=()):
                 raise ValidationError(f"rlabel index {idx} out of range")
             labeled.append(idx)
             subsets.append(_parse_subset(parts[2]) if len(parts) == 3 else ())
-        elif line[-1] == "\n":  # a run of e lines, three fields each
-            run = array("i", list(map(int, parts[2::3])))
-            if min(run) < 1 or max(run) > right_count:  # the first such line's message
-                idx = next(i for i in run if not 1 <= i <= right_count)
-                raise ValidationError(f"edge right index {idx} out of range")
-            lefts += _left_column(parts[1::3])
-            rights += run
         elif parts[0] in sections:
             break
         else:
@@ -395,7 +383,6 @@ def coloring_to_text(coloring):
 _BIT_OF_LETTER = {"R": 0, "B": 1}
 _BIT_OF_BYTE = bytes.maketrans(b"RB", b"\0\1")
 _NOT_A_LETTER = bytes(sorted({*range(256)} - {*b"RB"}))
-_C_RUN = re.compile(r"(?:c [0-9]{1,9} [0-9]{1,9} [RB]\n){2,}")
 
 
 def _read_coloring(lines, sections=(), line=None):
@@ -405,16 +392,10 @@ def _read_coloring(lines, sections=(), line=None):
     sections."""
     lefts, rights, bits = array("i"), array("i"), bytearray()
     add_left, add_right, add_bit = lefts.append, rights.append, bits.append
-    lines.pattern = _C_RUN
     # Fields are converted inline, not through _int: files run to 10^6+ lines.
     for line in chain([line] if line else (), lines):
         parts = line.split()
         if len(parts) != 4 or parts[0] != "c":
-            if line[-1] == "\n":  # a run of c lines, four fields each
-                lefts += _left_column(parts[1::4])
-                rights += array("i", list(map(int, parts[2::4])))
-                bits += "".join(parts[3::4]).encode().translate(_BIT_OF_BYTE)
-                continue
             if parts[0] in sections:
                 return (lefts, rights, bits), line
             raise ValidationError(f"unrecognized coloring line {line!r}")
@@ -440,13 +421,14 @@ def _taken(lines, chunks, got):
     return True
 
 
-def _opening(lines, spell, got):
+def _opening(lines, spell, got, width=1):
     """How many units of an endless sequence the text spells, each taken,
-    where spell(a, b) spells units a..b-1: a chunk of them doubles while the
-    text spells it, then halves."""
+    where spell(a, b) spells units a..b-1 of width lines each: a chunk of
+    them doubles while the text spells it, up to the first power of two of
+    at least _BATCH lines, then halves."""
     taken, size = 0, 1
     while _taken(lines, [spell(taken + 1, taken + size + 1)], got):
-        taken, size = taken + size, 2 * size
+        taken, size = taken + size, size << (size * width < _BATCH)
     while size > 1:
         size //= 2
         if _taken(lines, [spell(taken + 1, taken + size + 1)], got):
@@ -484,7 +466,7 @@ def _compared(lines, graph, chunks, got, respelled, sizes=None, sections=()):
     lefts and right indices, then what _read_coloring reads.  Chunks are in
     mask bit order, or left by left with sizes[left] lines each."""
     whole = graph is not None and _taken(lines, chunks, got)
-    bits, lines.pattern = b"".join(got), None
+    bits = b"".join(got)
     got.clear()  # the bits are held once
     line = next(lines, None)
     if whole and (line is None or line.split()[0] in sections):
@@ -528,9 +510,28 @@ def infer_complete_host(source):
 
 
 def complete_coloring_from_text(source):
-    """The coloring of K_{n,k} in a total coloring file, parsed in one pass."""
-    columns, _ = _read_coloring(_Lines(source))
-    return pack_coloring(_complete_host(*columns[:2]), *columns)
+    """The coloring of K_{n,k} in a total coloring file, left by left as
+    the writers list it: left 1's lines give k, and the lefts after it, each
+    the same row under its own number, give n (_opening).  From the first
+    chunk that differs, the host is inferred from every line's columns
+    (_compared)."""
+    lines, got = _Lines(source), []
+    k = _opening(lines, _first_left, got)
+    row = _index_lines(range(1, k + 1))
+    n = 1 + (k and _opening(lines, lambda a, b: "".join(  # lefts a + 1..b, each one row
+        [f"c {x} " + row.replace("\n", f" R\nc {x} ") + " R\n" for x in range(a + 1, b + 1)]),
+        got, k))
+    respelled = lambda edges: _columns([(), *repeat(range(1, k + 1), n)], edges, 0)
+    host = complete_bipartite(n, k) if k else None
+    digits, columns, _ = _compared(lines, host, (), got, respelled, [0] + [k] * n)
+    if columns:
+        return pack_coloring(_complete_host(*columns[:2]), *columns)
+    return _packed(host, digits)
+
+
+def _first_left(a, b):
+    """Left 1's c lines to rights a..b-1, letters R, as the writers list them."""
+    return "".join([f"c 1 {i} R\n" for i in range(a, b)])
 
 
 def _complete_host(lefts, rights):
@@ -563,7 +564,7 @@ def set_coloring_from_text(source, k):
     differs, the host is inferred from every line's columns (_compared)."""
     lines, got, sizes, host, t = _Lines(source), [], None, None, 1 <= k <= _SPELL
     t = t and _opening(lines, lambda a, b: "".join(
-        [f"c {x} {i} R\n" for i in range(a, b) for x in (*range(1, k), k - 1 + i)]), got)
+        [f"c {x} {i} R\n" for i in range(a, b) for x in (*range(1, k), k - 1 + i)]), got, k)
     if t:  # right by right: the other rights from their names, _BATCH lines a chunk
         n = k - 1 + t
         host, names = set_bipartite(n, k), islice(_subset_names(n, k), t, None)
@@ -572,8 +573,7 @@ def set_coloring_from_text(source, k):
         chunks = map("".join, _batches(spelled, max(1, _BATCH // k)))
         respelled = lambda edges: _columns(host.neighborhoods, edges, 1)[::-1]
     else:  # left by left: left 1's lines are rights 1..C(n-1, k-1), then the other lefts
-        t = 1 < k <= _SPELL and _opening(
-            lines, lambda a, b: "".join([f"c 1 {i} R\n" for i in range(a, b)]), got)
+        t = 1 < k <= _SPELL and _opening(lines, _first_left, got)
         n = next(m for m in count(k) if comb(m - 1, k - 1) >= t) if t else 0
         host = set_bipartite(n, k) if t and comb(n - 1, k - 1) == t else None
         rows, sizes = host.edge_rows()[0] if host else [(), range(1, t + 1)], [0, t]
@@ -776,7 +776,6 @@ def _read_witness(lines):
     """(({pattern left: host left}, {pattern right: host label}), the line
     that ended them or None) from wleft and wright lines."""
     lefts, rights = {}, {}
-    lines.pattern = None
     for line in lines:
         parts = line.split()
         if parts[0] in _SECTIONS:

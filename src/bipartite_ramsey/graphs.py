@@ -37,9 +37,8 @@ from collections import Counter
 from dataclasses import dataclass
 from enum import IntEnum
 from functools import cached_property
-from itertools import accumulate, chain, combinations, count, groupby, pairwise, permutations
-from itertools import product, repeat, starmap, zip_longest
-from operator import eq, ge, index as integer, rshift
+from itertools import accumulate, chain, combinations, pairwise, permutations, product, repeat
+from operator import ge, index as integer, rshift
 from typing import Optional
 
 from .errors import BudgetMeter, ValidationError
@@ -354,52 +353,14 @@ def _dealt(graph, rows):
     return map(next, map(rows.__getitem__, chain.from_iterable(graph.neighborhoods)))
 
 
-def _in_mask_order(graph, lefts, rights):
-    """A function that puts a column in mask bit order, when the array('i')
-    columns lefts and rights list each edge of the graph once, either in
-    mask bit order or left by left with each left's right indices
-    increasing (as edge_rows lists them); else None.  Left by left, each
-    left's stretch of a column is _dealt."""
-    edges = graph.edge_count
-    def owners():  # edges' 1-based right indices, in mask bit order; a new iterator each call
-        return chain.from_iterable(map(repeat, count(1), map(len, graph.neighborhoods)))
-    if len(lefts) != edges or len(rights) != edges:
-        return None
-    if all(map(eq, lefts, chain.from_iterable(graph.neighborhoods))):
-        return (lambda column: column) if all(map(eq, rights, owners())) else None
-    runs = [(left, len(list(run))) for left, run in groupby(lefts)]
-    spans = list(pairwise(accumulate((length for _, length in runs), initial=0)))
-
-    def deal(column):
-        view = memoryview(column)  # TypeError for a list
-        stretches = (iter(view[a:b]) for a, b in spans)
-        return _dealt(graph, dict(zip((left for left, _ in runs), stretches)))
-
-    try:  # a stretch that runs out ends the deal short of the owners
-        dealt = all(starmap(eq, zip_longest(deal(rights), owners())))
-    except (KeyError, TypeError):  # an edge's left with no stretch, or a list column
-        return None
-    return deal if dealt else None
-
-
 def pack_coloring(graph, lefts, rights, bits):
     """EdgeColoring from three columns, one entry per edge in any order:
-    lefts, 1-based right indices and colors.  Columns as the text readers
-    give them (array('i'), array('i'), bytearray of 0s and 1s) that list
-    each edge once in mask bit order or in edge_rows order go to _packed
-    at once.  Anything else is packed as _packed's digits, "?" until
-    colored, one bisect per edge.
+    lefts, 1-based right indices and colors, packed as _packed's digits,
+    "?" until colored, one bisect per edge.
 
     Raises ValidationError for a pair that is not an edge, an edge
     colored twice, a value that is not a color, or an edge left out.
     """
-    if type(bits) in (bytes, bytearray):
-        digits = bits.translate(_DIGIT)  # a byte that is not 0 or 1 becomes "\0"
-        deal = len(digits) == len(lefts) and b"\0" not in digits and _in_mask_order(
-            graph, lefts, rights
-        )
-        if deal:
-            return _packed(graph, bytes(deal(digits)))
     # Every edge's left in mask bit order; right index i's run is starts[i - 1]:starts[i].
     table = _dense_table(chain.from_iterable(graph.neighborhoods), 0, graph.left_count)
     d = graph._max_degree

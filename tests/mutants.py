@@ -116,6 +116,30 @@ MUTANTS = [
            '''host = set_bipartite(n, k) if t and comb(n - 1, k - 1) == t else None''',
            '''host = set_bipartite(max(n - 1, k), k) if t and comb(n - 1, k - 1) == t else None''',
            "left by left, left 1's C(n-1, k-1) lines give n"),
+    Mutant("complete-k-learned-one-high", FORMATS,
+           '''k = _opening(lines, _first_left, got)''',
+           '''k = _opening(lines, _first_left, got) + 1''',
+           "K_{n,k}'s k is the count of left 1's lines"),
+    Mutant("complete-k-learned-one-low", FORMATS,
+           '''k = _opening(lines, _first_left, got)''',
+           '''k = max(0, _opening(lines, _first_left, got) - 1)''',
+           "K_{n,k}'s k is the count of left 1's lines"),
+    Mutant("complete-n-learned-one-high", FORMATS,
+           '''n = 1 + (k and _opening(''',
+           '''n = 2 + (k and _opening(''',
+           "K_{n,k}'s n is left 1 and the lefts after it"),
+    Mutant("complete-n-learned-one-low", FORMATS,
+           '''n = 1 + (k and _opening(''',
+           '''n = 0 + (k and _opening(''',
+           "K_{n,k}'s n is left 1 and the lefts after it"),
+    Mutant("complete-row-one-short", FORMATS,
+           '''row = _index_lines(range(1, k + 1))''',
+           '''row = _index_lines(range(1, k))''',
+           "K_{n,k}'s later lefts are spelled from left 1's whole row"),
+    Mutant("opening-uncapped", FORMATS,
+           '''size << (size * width < _BATCH)''',
+           '''size << 1''',
+           "an opening chunk stops doubling at about _BATCH lines"),
     Mutant("right-speller-one-rank-off", FORMATS,
            '''islice(_subset_names(n, k), t, None)''',
            '''islice(_subset_names(n, k), t + 1, None)''',
@@ -129,8 +153,8 @@ MUTANTS = [
            '''got.append(text.encode().translate(_BIT_OF_BYTE))''',
            "only the letters of a chunk taken are its color bits"),
     Mutant("k-and-n-minus-k-swapped", FORMATS,
-           '''host, rows, taken = set_bipartite(n, k), [], 0''',
-           '''host, rows, taken = set_bipartite(n, n - k), [], 0''',
+           '''host, rows = set_bipartite(n, k), []''',
+           '''host, rows = set_bipartite(n, n - k), []''',
            "the chunks compared are those of the arity being tried"),
     Mutant("graph-chunks-not-replayed", FORMATS,
            '''for line in chain(taken, [line] if line else (), lines):''',
@@ -148,10 +172,20 @@ MUTANTS = [
            "a chunk is compared from the line after the last item"),
     Mutant("whole-graph-past-a-line", FORMATS,
            '''(line is None or line.split()[0] in sections):
-        return host, line, rows''',
+        return built(line)''',
            '''(line is None or line.split()[0] in sections or line[0] == "e"):
-        return host, line, rows''',
+        return built(line)''',
            "a graph is B_{n,k} only if no line follows its chunks"),
+    Mutant("complete-graph-past-a-line", FORMATS,
+           '''(line is None or line.split()[0] in sections):
+        return built(line)''',
+           '''(line is None or line.split()[0] in sections or line[0] == "r"):
+        return built(line)''',
+           "a graph is K_{n,m} only if no line follows its lefts"),
+    Mutant("complete-graph-row-one-short", FORMATS,
+           '''row = _index_lines(range(1, right_count + 1))''',
+           '''row = _index_lines(range(1, right_count))''',
+           "K_{n,m}'s e chunks are spelled from its lefts' whole row"),
     Mutant("text-past-the-last-chunk-accepted", FORMATS,
            '''(line is None or line.split()[0] in sections):
         digits = bits.translate(_DIGIT)''',
@@ -166,30 +200,14 @@ MUTANTS = [
            '''dict.fromkeys((k, n - k)) if count == right_count else ()''',
            '''dict.fromkeys((k, n - k))''',
            "B_{n,k}'s chunks are compared only under a header of C(n, k) rights"),
-    Mutant("run-fields-of-ten-digits", FORMATS,
-           '''c [0-9]{1,9} [0-9]{1,9} [RB]''',
-           '''c [0-9]{1,10} [0-9]{1,10} [RB]''',
-           "a c run's numbers fit array('i'): a longer one is for the line parser"),
-    Mutant("edge-run-fields-of-ten-digits", FORMATS,
-           '''(?:e [0-9]{1,9} [0-9]{1,9}''',
-           '''(?:e [0-9]{1,10} [0-9]{1,10}''',
-           "an e run's numbers fit array('i'): a longer one is for the line parser"),
     Mutant("sc-run-fields-unbounded", FORMATS,
            '''sc [0-9]{1,9}(?:,[0-9]{1,9})* [0-9]{1,9}''',
            '''sc [0-9]+(?:,[0-9]+)* [0-9]+''',
            "an sc run's numbers are inside int()'s digit limit"),
-    Mutant("run-colors-swapped", FORMATS,
+    Mutant("taken-colors-swapped", FORMATS,
            '''_BIT_OF_BYTE = bytes.maketrans(b"RB", b"\\0\\1")''',
            '''_BIT_OF_BYTE = bytes.maketrans(b"RB", b"\\1\\0")''',
-           "a run's R is color bit 0 and its B is 1"),
-    Mutant("edge-run-range-one-past", FORMATS,
-           '''max(run) > right_count:''',
-           '''max(run) > right_count + 1:''',
-           "an e run refuses a right index past the right count"),
-    Mutant("edge-run-names-a-later-index", FORMATS,
-           '''idx = next(i for i in run if''',
-           '''idx = next(i for i in reversed(run) if''',
-           "an e run names its first index out of range, as the line parser would"),
+           "a taken chunk's R is color bit 0 and its B is 1"),
     Mutant("rlabel-range-one-past", FORMATS,
            '''"rlabel index")
             if not 1 <= idx <= right_count:''',
@@ -200,11 +218,11 @@ MUTANTS = [
            '''subsets.append(_parse_subset(parts[2]) if len(parts) == 3 else ())''',
            '''subsets.append(parts[2] if len(parts) == 3 else ())''',
            "an rlabel line's subset is parsed, and refused in line order"),
-    Mutant("taken-rlabels-not-split", FORMATS,
-           '''    taken = chain.from_iterable(c.splitlines() if c[0] == "r" else [c] for c in taken)
+    Mutant("taken-chunks-not-split", FORMATS,
+           '''    taken = chain.from_iterable(map(str.splitlines, taken))  # replayed line by line
 ''',
            '''''',
-           "rlabel chunks taken before the text departs are read again line by line"),
+           "graph chunks taken before the text departs are read again line by line"),
     Mutant("sc-width-unchecked", FORMATS,
            '''if {*map(str.count, names, repeat(","))} == {arity - 1}:''',
            '''if True:''',
@@ -249,22 +267,6 @@ MUTANTS = [
            '''bad = p == e or table[p] != left or index < 1''',
            '''bad = p == e or table[p] != left''',
            "right index 0 names no edge"),
-    Mutant("packer-bits-length-unchecked", GRAPHS,
-           '''deal = len(digits) == len(lefts) and b"\\0" not in digits''',
-           '''deal = b"\\0" not in digits''',
-           "columns are dealt only with one color per edge"),
-    Mutant("packer-bits-not-checked", GRAPHS,
-           '''deal = len(digits) == len(lefts) and b"\\0" not in digits''',
-           '''deal = len(digits) == len(lefts)''',
-           "columns are dealt only when every color is 0 or 1"),
-    Mutant("mask-order-rights-unchecked", GRAPHS,
-           '''return (lambda column: column) if all(map(eq, rights, owners())) else None''',
-           '''return lambda column: column''',
-           "columns are mask bit order only if their rights are too"),
-    Mutant("dealt-rights-unchecked", GRAPHS,
-           '''dealt = all(starmap(eq, zip_longest(deal(rights), owners())))''',
-           '''dealt = True''',
-           "columns are dealt only when their rights deal to mask bit order"),
     Mutant("mask-bit-past-degree", GRAPHS,
            '''if graph.edge_count != graph._max_degree * len(masks) and any(''',
            '''if False and any(''',

@@ -1,11 +1,10 @@
 """Bulk conversions against the per-item code they replaced.
 
 graphs._packed builds the masks of a host whose rights all have the same
-degree d <= 8 from d bit planes, formats._subset_names spells each
-element once for all the subsets, and formats._left_column converts each
-distinct field of a run's left column once.  The bodies below are the
-ones they replaced, verbatim but for their names: every input must give
-the same value, or be refused by both.
+degree d <= 8 from d bit planes, and formats._subset_names spells each
+element once for all the subsets.  The bodies below are the ones they
+replaced, verbatim but for their names: every input must give the same
+value, or be refused by both.
 """
 
 import os
@@ -13,7 +12,6 @@ import random
 import resource
 import subprocess
 import sys
-from array import array
 from itertools import accumulate, combinations, pairwise, repeat
 from pathlib import Path
 
@@ -23,7 +21,7 @@ hypothesis = pytest.importorskip("hypothesis")
 st = hypothesis.strategies
 
 from bipartite_ramsey import ValidationError, complete_bipartite, set_bipartite  # noqa: E402
-from bipartite_ramsey.formats import _left_column, _subset_names  # noqa: E402
+from bipartite_ramsey.formats import _subset_names  # noqa: E402
 from bipartite_ramsey.graphs import BipartiteGraph, EdgeColoring, _packed  # noqa: E402
 
 SETTINGS = hypothesis.settings(deadline=None)
@@ -128,16 +126,3 @@ def test_subset_names_of_fewer_than_two_elements_build_no_list_of_the_ground_set
     proc = subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": SRC},
                           capture_output=True, text=True, timeout=10, preexec_fn=one_gib)
     assert proc.stdout == "1 2 3  end\n", proc.stderr[-500:]
-
-
-# -- left columns ----------------------------------------------------------------
-
-NUMBERS = st.sampled_from([0, 1, 2, 3, 17, 10**8, 10**9 - 1])
-
-
-@SETTINGS
-@hypothesis.given(st.lists(st.tuples(NUMBERS, st.integers(1, 9)), min_size=1, max_size=40))
-def test_left_column_matches_one_int_per_field(fields):
-    # A run's fields have at most nine digits, zero-padded or not: each fits array("i").
-    tokens = [f"{number:0{width}}" for number, width in fields]
-    assert _left_column(tokens) == array("i", map(int, tokens))

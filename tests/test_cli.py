@@ -112,14 +112,21 @@ def test_extract_complete_and_verify(tmp_path):
     assert "graph" in dot.read_text()
 
 
-def test_extract_complete_parses_its_file_once(tmp_path, monkeypatch):
+def test_extract_complete_parses_its_file_once(tmp_path, monkeypatch, capsys):
+    """The writer's text is compared, not parsed; text that departs from it
+    is parsed once, from the first chunk that differs."""
     reads = []
     read_coloring = formats._read_coloring
     monkeypatch.setattr(formats, "_read_coloring", lambda *a: reads.append(1) or read_coloring(*a))
     coloring = random_coloring(complete_bipartite(32, 4), random.Random(2))
-    colfile = write(tmp_path / "col.txt", coloring_to_text(coloring))
-    assert main(["extract-complete", colfile, "--a", "2", "--b", "2", "-o", "-"]) == 0
-    assert len(reads) == 1
+    lines = coloring_to_text(coloring).splitlines(True)
+    for text, parses in ((lines, 0), (lines[:-2] + lines[:-3:-1], 1)):
+        del reads[:]
+        colfile = write(tmp_path / "col.txt", "".join(text))
+        assert main(["extract-complete", colfile, "--a", "2", "--b", "2", "-o", "-"]) == 0
+        assert len(reads) == parses
+    out = capsys.readouterr().out.split("host\n")
+    assert len(out) == 3 and out[1] == out[2]  # the same certificate both times
 
 
 def test_verify_rejects_tampered_certificate(tmp_path):

@@ -645,6 +645,9 @@ def build_runs(draw):
     return ["build", kind, "--n", str(n), "--k", str(k), "-o", "g.txt"], {"g.txt": ""}
 
 
+HUGE_K = "bipartite 2147483647 2\ne 1 1\ne 1 2\n"  # K_{2^31-1,2}'s first left: no host is built
+
+
 def test_huge_numbers_end_in_an_exit_code_at_once(tmp_path_factory):
     """ROADMAP item 9: a few bytes of input cost a refusal no more than
     their own size.  Each run is a fresh rw process of at most 1 GiB, so
@@ -661,6 +664,9 @@ def test_huge_numbers_end_in_an_exit_code_at_once(tmp_path_factory):
     @hypothesis.settings(deadline=None, max_examples=hypothesis.settings.default.max_examples // 2)
     @hypothesis.given(subset_coloring_runs() | ramsey_runs() | coloring_runs() | params_runs()
                       | embed_runs() | build_runs())
+    @hypothesis.example((["params", "p.txt"], {"p.txt": HUGE_K}))  # K's lefts 1 of 2^31 - 1
+    @hypothesis.example((["verify", "c.txt"], {"c.txt": f"host\n{HUGE_K}pattern\nbipartite 1 1\n"
+                                                         "witness -\nwleft 1 1\nwright 1 1\n"}))
     def check(run):
         argv, files = run
         for name, text in files.items():

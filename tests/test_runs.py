@@ -1,13 +1,14 @@
-"""The run readers against the line-at-a-time readers they replaced.
+"""The comparing readers against the line-at-a-time readers they replaced.
 
-formats reads a stretch of canonical lines (a run) with one split and
-one int() per field, recognizes B_{n,k} host text from its columns,
-takes the values of an sc file in lexicographic order as the table, and
-packs colorings in writer order without a bisect per edge.  The readers
-below are the ones they replaced, verbatim but for their names: every
-file, canonical or mangled, must give the same value, or the same error
-message, both ways, with the new reader cut into blocks of a few
-characters so that runs and lines straddle block boundaries.
+formats takes the text of B_{n,k} and K_{n,k} graphs, colorings and
+certificates unparsed where it spells what the writer would write,
+learning the host from a coloring's opening lines, and reads a stretch
+of canonical sc lines (a run) with one split, taking the values of an sc
+file in lexicographic order as the table.  The readers below are the
+ones they replaced, verbatim but for their names: every file, canonical
+or mangled, must give the same value, or the same error message, both
+ways, with the new reader cut into blocks of a few characters so that
+chunks, runs and lines straddle block boundaries.
 """
 
 import random
@@ -15,6 +16,7 @@ import tracemalloc
 from array import array
 from bisect import bisect_left
 from contextlib import contextmanager
+from functools import partial
 from itertools import accumulate, chain
 from math import comb
 
@@ -500,6 +502,12 @@ COLORING_52 = "".join(f"c {x} {i} R\n" for i, X in enumerate(set_bipartite(5, 2)
     ("graph", formats.graph_to_text(set_bipartite(4, 2)).replace("\ne 4 6", "\ne 4 0000000007"),
      None),
     ("graph", "bipartite 2 2\ne 1 1\ne 1 2\ne 2147483648 1\n", None),
+    # K_{3,2}'s lines and one more, one left short, or under a header of one left more
+    ("graph", formats.graph_to_text(complete_bipartite(3, 2)) + "rlabel 1 5\n", None),
+    ("graph", formats.graph_to_text(complete_bipartite(3, 2)) + "e 1 3\n", None),
+    ("graph", formats.graph_to_text(complete_bipartite(3, 2)) + "e 1 1\n", None),
+    ("graph", formats.graph_to_text(complete_bipartite(3, 2)).replace("e 3 1\ne 3 2\n", ""), None),
+    ("graph", formats.graph_to_text(complete_bipartite(3, 2)).replace(" 3 2\n", " 4 2\n", 1), None),
     # B_{4,2}'s lines under a header of one right fewer or more than C(4, 2)
     ("graph", formats.graph_to_text(set_bipartite(4, 2)).replace(" 4 6\n", " 4 5\n", 1), None),
     ("graph", formats.graph_to_text(set_bipartite(4, 2)).replace(" 4 6\n", " 4 7\n", 1), None),
@@ -583,6 +591,10 @@ B63 = set_bipartite(6, 3)  # 20 rights, 60 edges: rlabel lines 2-21, e lines 22-
         certificate_lines(B63)[name] for name in ("coloring", "host", "pattern"))),
     departed(complete_bipartite(3, 4), "coloring", swapped(-1, -5)),
     departed(complete_bipartite(3, 4), "coloring", lambda lines: lines[:-1]),
+    departed(complete_bipartite(3, 4), "host", swapped(2, 3)),
+    departed(complete_bipartite(3, 4), "host", swapped(-1, -5)),
+    departed(complete_bipartite(3, 4), "host", lambda lines: lines + ["rlabel 2 7"]),
+    departed(complete_bipartite(3, 4), "host", lambda lines: lines[:-1]),
     departed(set_bipartite(5, 4), "coloring", lambda lines: lines + ["# the end"]),
 ])
 def test_certificates_that_depart_from_the_writer_read_as_the_reference_reads(text):
@@ -594,11 +606,14 @@ def test_certificates_that_depart_from_the_writer_read_as_the_reference_reads(te
 
 
 @pytest.mark.parametrize("host", [B63, set_bipartite(5, 4), set_bipartite(4, 2),
-                                  set_bipartite(513, 1), complete_bipartite(3, 4)])
+                                  set_bipartite(513, 1), complete_bipartite(3, 4),
+                                  complete_bipartite(1, 1), complete_bipartite(5, 1),
+                                  complete_bipartite(1, 5), complete_bipartite(512, 8)])
 def test_the_writers_text_is_taken_whole(host, monkeypatch):
     """Graph text of B_{n,k} (k > n/2 included, and k = 1 where n - k is
-    past _SPELL) and a coloring of any host read as the writer wrote them,
-    without the generic parse."""
+    past _SPELL) or K_{n,k}, a coloring of it and a certificate of it
+    read as the writer wrote them, without the generic parse; a K_{n,k}
+    coloring with its host learned from its lines."""
     coloring = random_coloring(host, random.Random(1))
     graph_text, coloring_text = formats.graph_to_text(host), formats.coloring_to_text(coloring)
     sections = certificate_lines(host)
@@ -608,13 +623,14 @@ def test_the_writers_text_is_taken_whole(host, monkeypatch):
     def generic(*args):
         raise AssertionError("read line by line")
 
-    monkeypatch.setattr(formats, "pack_coloring", generic)
+    for name in ("_read_coloring", "pack_coloring", "set_graph_arity"):
+        monkeypatch.setattr(formats, name, generic)
     assert formats.coloring_from_text(coloring_text, host) == coloring
     got = formats.certificate_from_text(certificate)
     assert got[1].masks == expected[1].masks and got[0] == expected[0]
-    if host.membership_arity:
-        monkeypatch.setattr(formats, "set_graph_arity", generic)
-        assert formats.graph_from_text(graph_text) == host
+    assert formats.graph_from_text(graph_text) == host
+    if not host.membership_arity:
+        assert formats.complete_coloring_from_text(coloring_text) == coloring
 
 
 def set_coloring_lines(coloring, order):
@@ -689,6 +705,55 @@ def test_a_set_coloring_in_either_order_is_taken_whole(host, order, monkeypatch)
     monkeypatch.setattr(formats, "pack_coloring", generic)
     got = formats.set_coloring_from_text(text, host.right_labels.k)
     assert got == coloring
+
+
+@pytest.mark.parametrize("host, batch", [
+    (complete_bipartite(5, 3), 4), (complete_bipartite(1, 4), 2), (complete_bipartite(6, 1), 2),
+    (complete_bipartite(4, 4), 1 << 12), (complete_bipartite(9, 2), 8)])
+def test_learned_complete_colorings_that_depart_read_as_the_reference_reads(host, batch,
+                                                                            monkeypatch):
+    """A departure at every line: inside left 1, which k is learned from,
+    and at every later left, which n is learned from, on each side of a
+    chunk boundary; left 1 one line long, so that k would be learned one
+    high; one left more or short, so that n would be one off; a line after
+    the last left; n = 1 and k = 1 too."""
+    monkeypatch.setattr(formats, "_BATCH", batch)
+    lines = formats.coloring_to_text(random_coloring(host, random.Random(3))).splitlines()
+    n, k = host.left_count, host.right_count
+    texts = [change(lines, at) for change in DEPARTURES.values() for at in range(len(lines))]
+    texts += [lines[:k] + [f"c 1 {k + 1} R"] + lines[k:], lines + [f"c {n + 1} {i} B" for i in
+              range(1, k + 1)], lines[:-k], lines[:k] + lines[2 * k :], lines + ["c 1 1 R"],
+              lines + [lines[-1]], lines + [f"c {n} {k + 1} R"], lines]
+    new, reference = READERS["complete coloring"]
+    for text in ("\n".join(text) + "\n" for text in texts):
+        expected = outcome(reference, text, None)
+        for block in BLOCKS:
+            with block_size(block):
+                assert outcome(new, text, None) == expected, (block, text)
+
+
+def test_opening_chunks_stop_doubling_at_a_batch(monkeypatch):
+    """The chunks _opening takes double up to the first power of two of at
+    least _BATCH lines: K_{64,3}'s lefts and K_{1,40}'s left 1 (the only
+    chunks a K coloring compares), and B_{40,2}'s opening rights."""
+    monkeypatch.setattr(formats, "_BATCH", 8)
+    sizes, take = [], formats._Lines.take
+
+    def counted(lines, chunk, masked=False):
+        text = take(lines, chunk, masked)
+        sizes.extend([chunk.count("\n")] if text else [])
+        return text
+
+    monkeypatch.setattr(formats._Lines, "take", counted)
+    complete, set_2 = formats.complete_coloring_from_text, partial(formats.set_coloring_from_text, k=2)
+    for host, read, order in [(complete_bipartite(64, 3), complete, "left by left"),
+                              (complete_bipartite(1, 40), complete, "left by left"),
+                              (set_bipartite(40, 2), set_2, "right by right")]:
+        coloring = random_coloring(host, random.Random(2))
+        text = "\n".join(set_coloring_lines(coloring, order)) + "\n"
+        del sizes[:]
+        assert read(text) == coloring
+        assert 8 <= max(sizes) < 16, host
 
 
 def test_a_run_under_a_wide_header_is_refused_without_its_subsets():

@@ -46,7 +46,6 @@ from bipartite_ramsey.formats import (
     graph_from_text,
     graph_to_text,
 )
-from bipartite_ramsey import graphs as graphs_module
 from bipartite_ramsey.graphs import _bit, pack_coloring
 from bipartite_ramsey.subsets import SubsetSequence, subset_unrank
 from conftest import position_rule_coloring
@@ -576,7 +575,7 @@ def test_pack_coloring_matches_the_reference_packer():
             # EdgeColoring equality also tells bytes masks from tuple ones
             reference = reference_pack_coloring(graph, triples)
             assert pack_coloring(graph, *columns(triples)) == reference
-            assert pack_coloring(graph, *map(list, columns(triples))) == reference  # bisects
+            assert pack_coloring(graph, *map(list, columns(triples))) == reference
         if not triples:
             continue
         for name, bad in bad_triples(graph, triples, rng).items():
@@ -585,29 +584,10 @@ def test_pack_coloring_matches_the_reference_packer():
                 with pytest.raises(ValidationError):
                     pack(graph, bad)
                     pytest.fail(f"{pack.__name__} accepted a coloring with {name}")
-
-
-def test_pack_coloring_takes_both_writer_orders_without_a_bisect(monkeypatch):
-    """Mask bit order and edge_rows order are packed from the columns at
-    once; only another order reaches the bisect loop."""
-    rng = random.Random(20)
-    calls = []
-    real_bisect = graphs_module.bisect_left
-    monkeypatch.setattr(graphs_module, "bisect_left", lambda *a: calls.append(1) or real_bisect(*a))
-    for graph in from_map_graphs():
-        index = {label: i for i, label in enumerate(graph.right_labels, 1)}
-        for kind, order in zip(("right-major", "left-major", "shuffled"), key_orders(graph, rng)):
-            triples = [(x, index[label], rng.choice((RED, BLUE))) for x, label in order]
-            reference = reference_pack_coloring(graph, triples)  # bisects in _bit
-            del calls[:]
-            assert pack_coloring(graph, *columns(triples)) == reference
-            assert kind == "shuffled" or not calls, (graph, kind)
-            if not triples:
-                continue
-            lefts, rights, bits = columns(triples)
-            for bad in (bits[:-1], bits[:-1] + b"\2"):  # one short, one not a color
-                with pytest.raises(ValidationError, match="uncolored|not by a color"):
-                    pack_coloring(graph, lefts, rights, bad)
+        lefts, rights, bits = columns(triples)
+        for bad in (bits[:-1], bits[:-1] + b"\2"):  # one short, one not a color
+            with pytest.raises(ValidationError, match="uncolored|not by a color"):
+                pack_coloring(graph, lefts, rights, bad)
 
 
 # -- the certificate fast path vs the generic parse --------------------------
