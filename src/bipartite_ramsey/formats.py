@@ -59,12 +59,11 @@ coloring not compared is three columns (lefts, right indices, color
 bits), from which the host may be inferred, packed by pack_coloring.
 A certificate is read section by section, its host's rows shared by its
 e and c chunks.
-An sc file's values cannot be spelled: its lines come a run at a time
-(see _Lines), taken as the value table while they name the subsets in
-lexicographic order.
+An sc file's values cannot be spelled: its lines are split one by one,
+and their values taken as the table while each names the next subset as
+_subset_names spells it.
 """
 
-import re
 from array import array
 from functools import partial
 from itertools import accumulate, chain, combinations, count, islice, pairwise, repeat
@@ -86,17 +85,11 @@ _SECTIONS = ("host", "coloring", "pattern", "witness")
 
 class _Lines:
     """The content lines of a str or an open text file: stripped, neither
-    blank nor '#' comments, split exactly as str.splitlines splits.
-    _subset_table may set pattern, a regex for two or more sc lines in the
-    writer's form (numbers of at most nine digits, each line ending in
-    "\n"): where it matches, the match comes whole and once, a run with its
-    line breaks (lines are stripped, so only a run ends in one).
-    Elsewhere the reader goes on line by line, one line and then twice as
-    many characters before each next try.  Between two items a parser may
-    take a chunk of text it expects (see take)."""
+    blank nor '#' comments, split exactly as str.splitlines splits: one
+    line, then twice as many characters before each next split.  Between
+    two items a parser may take a chunk of text it expects (see take)."""
 
     def __init__(self, source):
-        self.pattern = None
         if isinstance(source, str):
             self._blocks = (source[i : i + _BLOCK] for i in range(0, len(source), _BLOCK))
         else:
@@ -136,11 +129,6 @@ class _Lines:
     def _scan(self):
         while True:
             text, pos = self._text, self._pos
-            run = self.pattern and self.pattern.match(text, pos)
-            if run:
-                self._pos, self._size = run.end(), 1
-                yield run.group()
-                continue
             end = text.find("\n", pos + self._size) + 1  # 0 when no line ends past pos + size
             if end:
                 self._size *= 2
@@ -627,9 +615,6 @@ def subset_coloring_from_text(source):
     return SubsetColoring(n, arity, palette, _subset_table(lines, n, arity))
 
 
-_SC_RUN = re.compile(r"(?:sc [0-9]{1,9}(?:,[0-9]{1,9})* [0-9]{1,9}\n){2,}")
-
-
 def _subset_table(lines, n, arity):
     """Values by subset rank: the values read, while the sc lines name the
     arity-subsets of [n] in lexicographic order; from the first line that
@@ -637,26 +622,21 @@ def _subset_table(lines, n, arity):
     if min(n, arity) < 0 or n > 1 << 16:  # combinations holds [n] as a tuple
         return _rank_table(n, arity, map(_subset_value, lines))
     spelled, values = _subset_names(n, arity), []  # the subsets in order, as text
-    lines.pattern = _SC_RUN
     for line in lines:
         parts = line.split()
-        if line[-1] == "\n":  # a run: only subsets of the fields' sizes are spelled
-            names = parts[1::3]
-            if {*map(str.count, names, repeat(","))} == {arity - 1}:
-                if list(islice(spelled, len(names))) == names:
-                    values += map(int, parts[2::3])
-                    continue
-        elif _format_label((pair := _subset_value(line))[0]) == next(spelled, None):
-            values.append(pair[1])
-            continue
-        break
+        if len(parts) != 3 or parts[0] != "sc" or parts[1] != next(spelled, None):
+            break
+        try:
+            values.append(int(parts[2]))
+        except ValueError:  # _subset_value words the refusal
+            break
     else:
         if is_subset_count(len(values), n, arity):
             return values
         line = ""
-    lines.pattern = None
     read = zip(islice(combinations(range(1, n + 1), arity), len(values)), values)
-    return _rank_table(n, arity, chain(read, map(_subset_value, chain(line.splitlines(), lines))))
+    rest = chain([line] if line else (), lines)
+    return _rank_table(n, arity, chain(read, map(_subset_value, rest)))
 
 
 def _subset_value(line):

@@ -200,10 +200,6 @@ MUTANTS = [
            '''dict.fromkeys((k, n - k)) if count == right_count else ()''',
            '''dict.fromkeys((k, n - k))''',
            "B_{n,k}'s chunks are compared only under a header of C(n, k) rights"),
-    Mutant("sc-run-fields-unbounded", FORMATS,
-           '''sc [0-9]{1,9}(?:,[0-9]{1,9})* [0-9]{1,9}''',
-           '''sc [0-9]+(?:,[0-9]+)* [0-9]+''',
-           "an sc run's numbers are inside int()'s digit limit"),
     Mutant("taken-colors-swapped", FORMATS,
            '''_BIT_OF_BYTE = bytes.maketrans(b"RB", b"\\0\\1")''',
            '''_BIT_OF_BYTE = bytes.maketrans(b"RB", b"\\1\\0")''',
@@ -223,18 +219,18 @@ MUTANTS = [
 ''',
            '''''',
            "graph chunks taken before the text departs are read again line by line"),
-    Mutant("sc-width-unchecked", FORMATS,
-           '''if {*map(str.count, names, repeat(","))} == {arity - 1}:''',
-           '''if True:''',
-           "an sc run's subsets are spelled only when each field has arity - 1 commas"),
-    Mutant("sc-run-names-unchecked", FORMATS,
-           '''if list(islice(spelled, len(names))) == names:''',
-           '''if list(islice(spelled, len(names))) or names:''',
-           "an sc run's values are taken only where it names the subsets in order"),
     Mutant("sc-line-unchecked", FORMATS,
-           '''elif _format_label((pair := _subset_value(line))[0]) == next(spelled, None):''',
-           '''elif (pair := _subset_value(line)) and next(spelled, None) is not None:''',
+           '''or parts[1] != next(spelled, None):''',
+           '''or next(spelled, None) is None:''',
            "an sc line's value is taken only where it names the next subset"),
+    Mutant("sc-keyword-unchecked", FORMATS,
+           '''if len(parts) != 3 or parts[0] != "sc" or''',
+           '''if len(parts) != 3 or''',
+           "an sc line's value is taken only where its keyword is sc"),
+    Mutant("sc-value-error-escapes", FORMATS,
+           '''except ValueError:  # _subset_value words the refusal''',
+           '''except ZeroDivisionError:''',
+           "a value int() refuses is refused as the line parser refuses it"),
     Mutant("certificate-rows-reversed", FORMATS,
            '''rows[left] = _index_lines(row)''',
            '''rows[left] = _index_lines(row[::-1])''',

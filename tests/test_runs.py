@@ -2,13 +2,13 @@
 
 formats takes the text of B_{n,k} and K_{n,k} graphs, colorings and
 certificates unparsed where it spells what the writer would write,
-learning the host from a coloring's opening lines, and reads a stretch
-of canonical sc lines (a run) with one split, taking the values of an sc
-file in lexicographic order as the table.  The readers below are the
+learning the host from a coloring's opening lines, and takes the values
+of an sc file's lines as the table while each names the next subset in
+lexicographic order as the writer spells it.  The readers below are the
 ones they replaced, verbatim but for their names: every file, canonical
 or mangled, must give the same value, or the same error message, both
 ways, with the new reader cut into blocks of a few characters so that
-chunks, runs and lines straddle block boundaries.
+chunks and lines straddle block boundaries.
 """
 
 import random
@@ -56,7 +56,7 @@ from bipartite_ramsey.hypergraph import _rank_table  # noqa: E402
 
 SETTINGS = hypothesis.settings(deadline=None)
 _BLOCK = 1 << 16
-BLOCKS = [1, 3, 8, 16, 32, 64, 128, 512, 1 << 16]  # a run needs two lines in a block and tail
+BLOCKS = [1, 3, 8, 16, 32, 64, 128, 512, 1 << 16]  # block sizes, in characters
 
 
 # -- the line-at-a-time readers, as they were --------------------------------
@@ -367,8 +367,8 @@ INSERTS = ["# a comment", "", "   ", "\t", "host", "coloring", "pattern", "witne
 
 def mangle(draw, lines):
     """The lines with one to six random changes, each a kind of line the
-    run reader must hand to the line parser: comments, blank lines, CRLF
-    ends and tabs; other spellings of a number; indices past 2^31 - 1 or
+    comparing reader must hand to the line parser: comments, blank lines,
+    CRLF ends and tabs; other spellings of a number; indices past 2^31 - 1 or
     out of range; duplicate, missing and out-of-order lines; section lines;
     a color letter flipped, lowercase, or not a color."""
     lines = list(lines)
@@ -521,6 +521,10 @@ COLORING_52 = "".join(f"c {x} {i} R\n" for i, X in enumerate(set_bipartite(5, 2)
      None),
     ("subset coloring", "subsetcoloring 4 2 2\nsc 1,2 1\nsc 1,3 1\nsc 1,4 1\nsc 2,3 1\nsc 2,4 1\n"
      "sc 3,4 1\nsc 3,4 1\n", None),
+    # a line of the writer's form but for its keyword; values int() reads, though not as written
+    ("subset coloring", "subsetcoloring 2 1 2\nsc 1 1\nxc 2 1\n", None),
+    ("subset coloring", "subsetcoloring 2 1 3\nsc 1 1\nsc 2 +2\n", None),
+    ("subset coloring", "subsetcoloring 2 1 3\nsc 1 1\nsc 2 \u0662\n", None),
 ])
 def test_run_readers_agree_on_chosen_files(what, text, host):
     new, reference = READERS[what]
@@ -631,6 +635,26 @@ def test_the_writers_text_is_taken_whole(host, monkeypatch):
     assert formats.graph_from_text(graph_text) == host
     if not host.membership_arity:
         assert formats.complete_coloring_from_text(coloring_text) == coloring
+
+
+@pytest.mark.parametrize("n, arity, palette", [(1, 1, 1), (9, 1, 9), (12, 2, 10), (7, 3, 300),
+                                               (13, 2, 300), (40, 3, 10)])
+def test_the_writers_sc_text_is_taken_whole(n, arity, palette, monkeypatch):
+    """An sc file as subset_coloring_to_text writes it is read without a
+    line parsed or a rank taken, whatever its values' widths; C(40, 3)'s
+    lines run to 131,674 characters, past one _BLOCK."""
+    rng = random.Random(n)
+    sc = SubsetColoring(n, arity, palette, [rng.randint(1, palette) for _ in range(comb(n, arity))])
+    text = formats.subset_coloring_to_text(sc)
+
+    def generic(*args):
+        raise AssertionError("read line by line")
+
+    monkeypatch.setattr(formats, "_subset_value", generic)
+    monkeypatch.setattr(formats, "_rank_table", generic)
+    for block in BLOCKS:
+        with block_size(block):
+            assert formats.subset_coloring_from_text(text) == sc, block
 
 
 def set_coloring_lines(coloring, order):
@@ -757,7 +781,8 @@ def test_opening_chunks_stop_doubling_at_a_batch(monkeypatch):
 
 
 def test_a_run_under_a_wide_header_is_refused_without_its_subsets():
-    # One element a line: no 60000-subset of [65536] is spelled for them.
+    # One element a line: one 60000-subset of [65536] is spelled, for the
+    # first line to be compared with; the lines are then counted, not ranked.
     text = "subsetcoloring 65536 60000 2\n" + "".join(f"sc {i} 1\n" for i in range(1, 3000))
     tracemalloc.start()
     try:
