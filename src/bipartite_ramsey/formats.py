@@ -50,9 +50,10 @@ section, coloring_from_text), in graph text whose header names B_{n,k}
 or K_{n,m}, and in colorings whose host it learns from their opening
 lines (_opening): set_coloring_from_text's B_{n,k}, right by right (mask
 bit order) or left by left, and complete_coloring_from_text's K_{n,k},
-from left 1 and the lefts after it.  A c chunk is compared with its
-letters read as R, which are then read out as bits, _dealt to mask bit
-order when taken left by left (_compared).  From the first chunk that
+from left 1 and the lefts after it.  A left's e lines, and its c lines
+with their letters read as R, have one spelling, _edge_lines.  A c
+chunk's letters are read out as bits, _dealt to mask bit order when
+taken left by left, all through _by_left.  From the first chunk that
 differs, the section goes to the line parser, the chunks taken
 re-spelled from the host (as columns, for a coloring) ahead of it; a
 coloring not compared is three columns (lefts, right indices, color
@@ -203,12 +204,17 @@ def graph_chunks(graph, rows=None):
         yield "".join([f"rlabel {i} {name}\n" for i, name in batch])
     for left, text in enumerate(map(_index_lines, graph.edge_rows()[0]) if rows is None else rows):
         if text:
-            yield f"e {left} " + text.replace("\n", f"\ne {left} ") + "\n"
+            yield _edge_lines("e", left, text)
 
 
 def _index_lines(row):
     """A left's right indices, one a line (with no final line break)."""
     return "\n".join(map(str, row))
+
+
+def _edge_lines(word, left, text, end="\n"):
+    """A left's e lines, or with end=" R\n" its c lines read as R, from its _index_lines text."""
+    return f"{word} {left} " + text.replace("\n", f"{end}{word} {left} ") + end
 
 
 def _edge_texts(graph, masks=None):
@@ -255,9 +261,8 @@ def _spelled_graph(lines, n, right_count):
     if not (1 <= right_count <= _SPELL and n):
         return None, (), False
     row = _index_lines(range(1, right_count + 1))  # every left's right indices
-    chunks = lambda: map("".join, _batches(  # each left's e lines, as graph_chunks writes them
-        (f"e {x} " + row.replace("\n", f"\ne {x} ") + "\n" for x in range(1, n + 1)),
-        max(1, _BATCH // right_count)))
+    chunks = lambda: map("".join, _batches(
+        (_edge_lines("e", x, row) for x in range(1, n + 1)), max(1, _BATCH // right_count)))
     taken, whole = _took(lines, chunks())
     return (lambda line: (complete_bipartite(n, right_count), line, ["", *repeat(row, n)]),
             islice(chunks(), taken), whole)
@@ -432,12 +437,12 @@ def _left_chunks(rows, sizes):
     cut every _BATCH indices.  Each left's line count goes to sizes."""
     parts, size = [], 0
     for left in range(len(sizes), len(rows)):
-        row, rows[left], sep = rows[left], None, f" R\nc {left} "
+        row, rows[left] = rows[left], None
         texts = [row] if type(row) is str else [
             _index_lines(row[i : i + _BATCH]) for i in range(0, len(row), _BATCH)]
         sizes.append(0)
         for text in texts:
-            parts.append(sep[3:] + text.replace("\n", sep) + " R\n" if text else "")
+            parts.append(_edge_lines("c", left, text, " R\n") if text else "")
             added = parts[-1].count("\n")
             sizes[-1], size = sizes[-1] + added, size + added
             if size >= _BATCH:
@@ -476,14 +481,18 @@ def _columns(groups, edges, first):
     return array("i", islice(owners, edges)), array("i", islice(chain.from_iterable(groups), edges))
 
 
+def _by_left(lines, graph, rows, got, sizes, sections=()):
+    """_compared with graph's c lines left by left from left len(sizes) on,
+    given each one's rights in rows as _left_chunks takes them; the chunks
+    taken are re-spelled from graph's edge_rows, or from rows for no graph."""
+    respelled = lambda edges: _columns(graph.edge_rows()[0] if graph else rows, edges, 0)
+    return _compared(lines, graph, _left_chunks(rows, sizes), got, respelled, sizes, sections)
+
+
 def _read_colors(lines, graph, rows=None, sections=()):
     """(a function that packs graph's coloring as read, the line that ended
-    it or None): _compared with graph's c lines left by left, given each
-    left's rights as _left_chunks takes them (by default from edge_rows)."""
-    sizes = []
-    digits, columns, line = _compared(
-        lines, graph, _left_chunks(rows or graph.edge_rows()[0], sizes), [],
-        lambda edges: _columns(graph.edge_rows()[0], edges, 0), sizes, sections)
+    it or None): _by_left from left 0, over rows or else graph's edge_rows."""
+    digits, columns, line = _by_left(lines, graph, rows or graph.edge_rows()[0], [], [], sections)
     return partial(pack_coloring, graph, *columns) if columns else partial(_packed, graph, digits), line
 
 
@@ -507,19 +516,17 @@ def complete_coloring_from_text(source):
     k = _opening(lines, _first_left, got)
     row = _index_lines(range(1, k + 1))
     n = 1 + (k and _opening(lines, lambda a, b: "".join(  # lefts a + 1..b, each one row
-        [f"c {x} " + row.replace("\n", f" R\nc {x} ") + " R\n" for x in range(a + 1, b + 1)]),
-        got, k))
-    respelled = lambda edges: _columns([(), *repeat(range(1, k + 1), n)], edges, 0)
+        [_edge_lines("c", x, row, " R\n") for x in range(a + 1, b + 1)]), got, k))
     host = complete_bipartite(n, k) if k else None
-    digits, columns, _ = _compared(lines, host, (), got, respelled, [0] + [k] * n)
+    digits, columns, _ = _by_left(lines, host, (), got, [0] + [k] * n)  # _opening took every left
     if columns:
         return pack_coloring(_complete_host(*columns[:2]), *columns)
     return _packed(host, digits)
 
 
 def _first_left(a, b):
-    """Left 1's c lines to rights a..b-1, letters R, as the writers list them."""
-    return "".join([f"c 1 {i} R\n" for i in range(a, b)])
+    """Left 1's c lines to rights a..b-1 (a < b), letters R, as the writers list them."""
+    return _edge_lines("c", 1, _index_lines(range(a, b)), " R\n")
 
 
 def _complete_host(lefts, rights):
@@ -550,7 +557,7 @@ def set_coloring_from_text(source, k):
     C(n-1, k-1) lines, left by left as the writers list them.  B_{n,k}'s
     later chunks in that order are then compared; from the first that
     differs, the host is inferred from every line's columns (_compared)."""
-    lines, got, sizes, host, t = _Lines(source), [], None, None, 1 <= k <= _SPELL
+    lines, got, t = _Lines(source), [], 1 <= k <= _SPELL
     t = t and _opening(lines, lambda a, b: "".join(
         [f"c {x} {i} R\n" for i in range(a, b) for x in (*range(1, k), k - 1 + i)]), got, k)
     if t:  # right by right: the other rights from their names, _BATCH lines a chunk
@@ -559,15 +566,14 @@ def set_coloring_from_text(source, k):
         spelled = ("c " + name.replace(",", sep) + sep[:-2]
                    for i, name in enumerate(names, t + 1) for sep in [f" {i} R\nc "])
         chunks = map("".join, _batches(spelled, max(1, _BATCH // k)))
-        respelled = lambda edges: _columns(host.neighborhoods, edges, 1)[::-1]
+        digits, columns, _ = _compared(
+            lines, host, chunks, got, lambda edges: _columns(host.neighborhoods, edges, 1)[::-1])
     else:  # left by left: left 1's lines are rights 1..C(n-1, k-1), then the other lefts
         t = 1 < k <= _SPELL and _opening(lines, _first_left, got)
         n = next(m for m in count(k) if comb(m - 1, k - 1) >= t) if t else 0
         host = set_bipartite(n, k) if t and comb(n - 1, k - 1) == t else None
-        rows, sizes = host.edge_rows()[0] if host else [(), range(1, t + 1)], [0, t]
-        chunks = _left_chunks(rows, sizes)
-        respelled = lambda edges: _columns(host.edge_rows()[0] if host else rows, edges, 0)
-    digits, columns, _ = _compared(lines, host, chunks, got, respelled, sizes)
+        digits, columns, _ = _by_left(
+            lines, host, host.edge_rows()[0] if host else [(), range(1, t + 1)], got, [0, t])
     if columns:
         return pack_coloring(_set_host(columns[0], k), *columns)
     return _packed(host, digits)
@@ -612,23 +618,23 @@ def subset_coloring_from_text(source):
     n, arity, palette = (_int(x, "subset-coloring header field") for x in fields[1:])
     if max(n, arity) > _MAX_INDEX:  # C(n, arity) alone could take hours
         raise ValidationError(f"bad subset-coloring header {header!r}: past {_MAX_INDEX}")
-    return SubsetColoring(n, arity, palette, _subset_table(lines, n, arity))
+    return SubsetColoring(n, arity, palette, _subset_table(lines, n, arity, palette))
 
 
-def _subset_table(lines, n, arity):
-    """Values by subset rank: the values read, while the sc lines name the
-    arity-subsets of [n] in lexicographic order; from the first line that
-    does not, or at a count that is not C(n, arity), _rank_table's."""
+def _subset_table(lines, n, arity, palette):
+    """Values by subset rank, a byte each for a palette of at most 255: the
+    values read while the sc lines name the arity-subsets of [n] in lex order;
+    from the first line that does not, or at a count not C(n, arity), _rank_table's."""
     if min(n, arity) < 0 or n > 1 << 16:  # combinations holds [n] as a tuple
         return _rank_table(n, arity, map(_subset_value, lines))
-    spelled, values = _subset_names(n, arity), []  # the subsets in order, as text
+    spelled, values = _subset_names(n, arity), bytearray() if palette <= 255 else []
     for line in lines:
         parts = line.split()
         if len(parts) != 3 or parts[0] != "sc" or parts[1] != next(spelled, None):
             break
         try:
             values.append(int(parts[2]))
-        except ValueError:  # _subset_value words the refusal
+        except ValueError:  # not an int (_subset_value words it), or past a byte
             break
     else:
         if is_subset_count(len(values), n, arity):

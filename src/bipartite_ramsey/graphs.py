@@ -42,7 +42,7 @@ from operator import ge, index as integer, rshift
 from typing import Optional
 
 from .errors import BudgetMeter, ValidationError
-from .subsets import SubsetSequence
+from .subsets import SubsetSequence, is_subset_count
 
 
 class Color(IntEnum):
@@ -238,8 +238,8 @@ def set_graph_arity(left_count, labels, neighborhoods):
     (its k-subsets in lexicographic order, each its own neighbourhood), else
     None.  Equality with the subsets proves the input valid unchecked."""
     k = len(neighborhoods[0]) if neighborhoods else 0
-    subsets = SubsetSequence(left_count, k)
-    return k if k and labels == subsets == neighborhoods else None
+    counted = k and is_subset_count(len(labels), left_count, k)  # capped: C(n, k) can be vast
+    return k if counted and labels == SubsetSequence(left_count, k) == neighborhoods else None
 
 
 def make_graph(left_count, right_labels, edges):

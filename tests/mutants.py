@@ -228,7 +228,7 @@ MUTANTS = [
            '''if len(parts) != 3 or''',
            "an sc line's value is taken only where its keyword is sc"),
     Mutant("sc-value-error-escapes", FORMATS,
-           '''except ValueError:  # _subset_value words the refusal''',
+           '''except ValueError:  # not an int (_subset_value words it), or past a byte''',
            '''except ZeroDivisionError:''',
            "a value int() refuses is refused as the line parser refuses it"),
     Mutant("certificate-rows-reversed", FORMATS,
@@ -239,6 +239,10 @@ MUTANTS = [
            '''if is_subset_count(len(values), n, arity):''',
            '''if True:''',
            "sc values taken in order are the table only at C(n, arity) of them"),
+    Mutant("edge-lines-end-dropped", FORMATS,
+           '''text.replace("\\n", f"{end}{word} {left} ") + end''',
+           '''text.replace("\\n", f"{end}{word} {left} ") + "\\n"''',
+           "a left's last c line is spelled with its letter, as the writers spell it"),
     Mutant("regular-starts-one-short", GRAPHS,
            '''starts = range(0, d * (graph.right_count + 1), d)''',
            '''starts = range(0, d * graph.right_count, d)''',
@@ -267,6 +271,10 @@ MUTANTS = [
            '''if graph.edge_count != graph._max_degree * len(masks) and any(''',
            '''if False and any(''',
            "a mask bit past its right's degree is refused"),
+    Mutant("arity-check-count-unguarded", GRAPHS,
+           '''counted = k and is_subset_count(len(labels), left_count, k)''',
+           '''counted = k''',
+           "a graph's right count rules out B_{n,k} before any C(n, k) is computed"),
     Mutant("oracle-candidates-not-induced", GRAPHS,
            '''if adjacent & left_set == need''',
            '''if need <= adjacent''',

@@ -226,3 +226,31 @@ def test_short_files_are_refused_without_comb(monkeypatch):
         infer_set_host("c 2147483647 1 R\nc 1 1 R\nc 2 1 R\n", 3)  # one subset's worth
     with pytest.raises(ValidationError, match=r"C\(2147483647,2\) subsets, got 0$"):
         subset_coloring_from_text("subsetcoloring 2147483647 2 2\n")
+
+
+def test_a_graph_is_compared_with_b_n_k_by_count_before_any_comb(monkeypatch):
+    # One right of degree 2,000 under 2^31 - 1 lefts: B_{n,2000} is ruled
+    # out by its right count, not by comparing with C(2^31 - 1, 2000).
+    comb = subsets.comb
+
+    def small_comb(n, k):
+        assert min(k, n - k) <= 64, f"comb({n}, {k}) called"
+        return comb(n, k)
+
+    monkeypatch.setattr(subsets, "comb", small_comb)
+    text = "bipartite 2147483647 1\n" + "".join(f"e {i} 1\n" for i in range(1, 2001))
+    graph = graph_from_text(text)
+    assert (graph.left_count, graph.neighborhoods) == (2147483647, (tuple(range(1, 2001)),))
+
+
+def test_a_derived_coloring_reads_back_in_a_byte_a_value():
+    # The constant-RED B_{24,7}, b = 4 file: 346,104 sc lines, palette 70.
+    sc = derive_coloring(constant_coloring(set_bipartite(24, 7), RED), 4)
+    text = subset_coloring_to_text(sc)
+    tracemalloc.start()
+    try:
+        read = subset_coloring_from_text(text)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert read == sc and peak < 2 << 20  # a list of the values peaks at 3.6 MB

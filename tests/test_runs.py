@@ -637,6 +637,50 @@ def test_the_writers_text_is_taken_whole(host, monkeypatch):
         assert formats.complete_coloring_from_text(coloring_text) == coloring
 
 
+@st.composite
+def wide_colorings(draw):
+    """A random coloring of B_{n,k} with more than 1,000 rights (k > n/2
+    included) or of K_{n,m} with m from 1 to 120: rows whose indices cross
+    a digit width, and lefts past 1,000 for B_{n,1}."""
+    if draw(st.booleans()):
+        n, k = draw(st.sampled_from([(1001, 1), (46, 2), (20, 3), (15, 4), (14, 10)]))
+        host = set_bipartite(n, k)
+    else:
+        host = complete_bipartite(draw(st.integers(1, 12)), draw(st.integers(1, 120)))
+    return random_coloring(host, random.Random(draw(st.integers(0, 2**32))))
+
+
+@SETTINGS
+@hypothesis.given(wide_colorings())
+def test_the_writers_spell_each_line_and_read_back_whole(coloring):
+    """graph_to_text and coloring_to_text are the per-line spelling of
+    sorted_edges and color_of wherever the indices change digit width, and
+    each reads back without the generic parse."""
+    host = coloring.graph
+    index = {label: i for i, label in enumerate(host.right_labels, 1)}
+    labels = [f"rlabel {i} {','.join(map(str, x))}\n" for x, i in index.items() if type(x) is tuple]
+    edges = [(left, index[label], label) for left, label in host.sorted_edges()]
+    graph_text = "".join([f"bipartite {host.left_count} {len(index)}\n", *labels,
+                          *(f"e {left} {i}\n" for left, i, _ in edges)])
+    coloring_text = "".join(f"c {left} {i} {coloring.color_of(left, label).letter}\n"
+                            for left, i, label in edges)
+    assert formats.graph_to_text(host) == graph_text
+    assert formats.coloring_to_text(coloring) == coloring_text
+
+    def generic(*args):
+        raise AssertionError("read line by line")
+
+    with pytest.MonkeyPatch.context() as m:
+        for name in ("_read_coloring", "pack_coloring", "set_graph_arity"):
+            m.setattr(formats, name, generic)
+        assert formats.graph_from_text(graph_text) == host
+        assert formats.coloring_from_text(coloring_text, host) == coloring
+        if host.membership_arity:
+            assert formats.set_coloring_from_text(coloring_text, host.membership_arity) == coloring
+        else:
+            assert formats.complete_coloring_from_text(coloring_text) == coloring
+
+
 @pytest.mark.parametrize("n, arity, palette", [(1, 1, 1), (9, 1, 9), (12, 2, 10), (7, 3, 300),
                                                (13, 2, 300), (40, 3, 10)])
 def test_the_writers_sc_text_is_taken_whole(n, arity, palette, monkeypatch):
